@@ -7,7 +7,6 @@ Exit codes: 0 success, 2 configuration error, 3 I/O error,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import os
 import sys
@@ -18,10 +17,12 @@ from .complexity import (ComplexityInputs, eta4_monte_carlo, required_T_nonpriva
 from .config import ExperimentConfig, delta_from_rule, parse_config_file
 from .counts import bin_events, sample_stats
 from .errors import ConfigError, HorizonTooShort, NonConvergence, PreconditionViolated
+# invert_moments and privatize_stats are unused here but stay bound: the traced
+# benchmark (perfbench/spans.py) wraps them by module attribute.
 from .estimator import EstimateResult, estimate, invert_moments
 from .events import read_events_csv, write_events_csv
 from .ingest import ingest_timestamps
-from .privacy import PrivacyBudget, SensitivitySpec, privatize_stats
+from .privacy import PrivacyBudget, SensitivitySpec, private_estimate, privatize_stats
 from .experiments import (BASELINE_B_MODE, emit_plot_script, run_sweep,
                           run_time_to_threshold, summarize_sweep,
                           write_summary_csv, write_sweep_csv, write_threshold_csv)
@@ -155,19 +156,10 @@ def _estimate_flow(args, privatize_required: bool) -> int:
     try:
         if epsilon_total is not None:
             budget = PrivacyBudget(epsilon=epsilon_total / 2.0, gamma=config.gamma)
-            if args.b == "auto":
-                spec = SensitivitySpec.relation_unaware(config.bounds, config.gamma)
-            else:
-                spec = SensitivitySpec.relation_aware(config.bounds, config.gamma, int(args.b))
-            priv = privatize_stats(stats, spec, budget, series.delta,
-                                   events.horizon, config.seed)
-            print(f"private stats: eta_hat={priv.eta_hat:.6g} "
-                  f"sigma_sq_hat={priv.sigma_sq_hat:.6g} (total budget {epsilon_total:g})")
-            result = invert_moments(priv.eta_hat, priv.sigma_sq_hat, series.delta,
-                                    config.bounds)
-            gamma_total = config.gamma if args.b != "auto" else 2 * config.gamma
-            result = dataclasses.replace(result, epsilon_total=epsilon_total,
-                                         gamma_total=gamma_total, b_mode=str(args.b))
+            spec = SensitivitySpec.for_b_mode(config.bounds, config.gamma, args.b)
+            result = private_estimate(series, config.bounds, spec, budget, config.seed)
+            print(f"private stats: eta_hat={result.eta_hat:.6g} "
+                  f"sigma_sq_hat={result.sigma_sq_hat:.6g} (total budget {epsilon_total:g})")
         else:
             result = estimate(series, config.bounds)
     except (NonConvergence, HorizonTooShort) as exc:

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .errors import ConfigError
 from .hawkes import HawkesParams, ParamBounds
@@ -145,7 +145,3 @@ def load_config(path=None, **overrides) -> ExperimentConfig:
         return ExperimentConfig(**values)
     except TypeError as exc:
         raise ConfigError(str(exc)) from exc
-
-
-def with_updates(config: ExperimentConfig, **changes) -> ExperimentConfig:
-    return replace(config, **changes)

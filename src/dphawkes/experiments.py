@@ -19,11 +19,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ExperimentConfig, delta_from_rule
+# sample_stats, invert_moments, privatize_stats and the sensitivity helpers are
+# unused here but stay bound: the traced benchmark (perfbench/spans.py) wraps
+# them by module attribute.
 from .counts import CountSeries, bin_events, sample_stats
 from .errors import ConfigError, HorizonTooShort, NonConvergence
 from .estimator import EstimateResult, estimate, invert_moments
 from .ingest import ingest_timestamps
-from .privacy import (PrivacyBudget, SensitivitySpec, mean_sensitivity,
+from .privacy import (PrivacyBudget, SensitivitySpec, mean_sensitivity, private_estimate,
                       privatize_stats, validate_horizon, variance_sensitivity)
 from .simulate import simulate_branching
 
@@ -62,12 +65,6 @@ def _norm_errors(result: EstimateResult, truth_mu: float, truth_alpha: float):
             abs(result.alpha_hat - truth_alpha) / truth_alpha)
 
 
-def _spec_for(b_mode: str, config: ExperimentConfig) -> SensitivitySpec:
-    if b_mode == "auto":
-        return SensitivitySpec.relation_unaware(config.bounds, config.gamma)
-    return SensitivitySpec.relation_aware(config.bounds, config.gamma, int(b_mode))
-
-
 def _sweep_rep(config: ExperimentConfig, rep: int,
                fixed_series: CountSeries | None) -> list[SweepRecord]:
     """All records for one repetition: the shared series, a baseline row, and
@@ -84,7 +81,6 @@ def _sweep_rep(config: ExperimentConfig, rep: int,
         sim_seed = _derived_seed(config.seed, 0, 0)
         series = fixed_series
         sim_ms = 0.0
-    stats = sample_stats(series)
 
     t0 = time.perf_counter()
     base = estimate(series, config.bounds)
@@ -104,15 +100,10 @@ def _sweep_rep(config: ExperimentConfig, rep: int,
         budget = PrivacyBudget(epsilon=eps_total / 2.0, gamma=config.gamma)
         for bi, b_mode in enumerate(config.b_values):
             cell_seed = _derived_seed(config.seed, 1, rep, ei, bi)
-            spec = _spec_for(b_mode, config)
+            spec = SensitivitySpec.for_b_mode(config.bounds, config.gamma, b_mode)
             t0 = time.perf_counter()
             try:
-                priv = privatize_stats(stats, spec, budget, series.delta,
-                                       series.horizon, cell_seed)
-                if priv.eta_hat <= 0:  # noise swamped the mean: count as failure
-                    raise NonConvergence("privatized mean is nonpositive")
-                result = invert_moments(priv.eta_hat, priv.sigma_sq_hat,
-                                        series.delta, config.bounds)
+                result = private_estimate(series, config.bounds, spec, budget, cell_seed)
             except (NonConvergence, HorizonTooShort):
                 records.append(SweepRecord(
                     epsilon=eps_total, b_mode=b_mode, rep=rep, seed=cell_seed,
@@ -210,13 +201,6 @@ class ThresholdCell:
     median_err_alpha: float | None
 
 
-def _laplace_from_u(scale: float, u: float) -> float:
-    if scale == 0.0:
-        return 0.0
-    magnitude = -scale * math.log(max(1.0 - 2.0 * abs(u - 0.5), 5e-324))
-    return -magnitude if u < 0.5 else magnitude
-
-
 def run_time_to_threshold(config: ExperimentConfig, threshold: float,
                           t_min: float = 12500.0, t_max: float = 1e6) -> list[ThresholdCell]:
     """Doubling search over T until the median alpha error drops below threshold.
@@ -248,36 +232,23 @@ def run_time_to_threshold(config: ExperimentConfig, threshold: float,
         if len(resolved) == len(cells):
             break
         delta = delta_from_rule(config.delta_mode, horizon)
-        stats_per_rep = []
-        noise_per_rep = []
-        for rep in range(config.repetitions):
-            sim_seed = _derived_seed(config.seed, 3, pi, rep)
-            sim = simulate_branching(config.params, horizon, sim_seed)
-            series = bin_events(sim, delta)
-            stats_per_rep.append(sample_stats(series))
-            u = np.random.default_rng(_derived_seed(config.seed, 4, pi, rep)).random(2)
-            noise_per_rep.append((float(u[0]), float(u[1])))
-        k = int(round(horizon / delta))
+        series_per_rep = [
+            bin_events(simulate_branching(config.params, horizon,
+                                          _derived_seed(config.seed, 3, pi, rep)), delta)
+            for rep in range(config.repetitions)]
+        # One int seed per rep: every cell redraws the same two noise uniforms.
+        noise_seeds = [_derived_seed(config.seed, 4, pi, rep)
+                       for rep in range(config.repetitions)]
         for eps_total, b_mode in cells:
             if (eps_total, b_mode) in resolved:
                 continue
-            spec = _spec_for(b_mode, config)
-            eps_stat = eps_total / 2.0
+            spec = SensitivitySpec.for_b_mode(config.bounds, config.gamma, b_mode)
+            budget = PrivacyBudget(epsilon=eps_total / 2.0, gamma=config.gamma)
             errs = []
-            for rep in range(config.repetitions):
-                stats = stats_per_rep[rep]
-                u1, u2 = noise_per_rep[rep]
+            for series, noise_seed in zip(series_per_rep, noise_seeds):
                 try:
-                    if b_mode == "auto" and not validate_horizon(
-                            spec.mu_upper, spec.gamma, horizon):
-                        raise HorizonTooShort("below relation-unaware threshold")
-                    eta_priv = stats.eta_hat + _laplace_from_u(
-                        mean_sensitivity(spec, stats.k, horizon) / eps_stat, u1)
-                    var_priv = stats.sigma_sq_hat + _laplace_from_u(
-                        variance_sensitivity(spec, stats.k, delta, horizon) / eps_stat, u2)
-                    if eta_priv <= 0:
-                        raise NonConvergence("privatized mean is nonpositive")
-                    result = invert_moments(eta_priv, var_priv, delta, config.bounds)
+                    result = private_estimate(series, config.bounds, spec, budget,
+                                              noise_seed)
                     errs.append(abs(result.alpha_hat - alpha_truth) / alpha_truth)
                 except (NonConvergence, HorizonTooShort):
                     errs.append(math.inf)

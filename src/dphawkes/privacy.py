@@ -5,17 +5,18 @@ sample statistics is driven by the largest tree: either a known cap B
 (relation-aware) or the probabilistic 3*log(T)/(1-alpha_upper)^2 progeny bound
 (relation-unaware), which requires the horizon threshold checked by
 validate_horizon. Budgets here are per statistic; the released pair composes
-to twice the per-statistic epsilon.
+to twice the per-statistic epsilon. private_estimate is the one release path:
+every private estimate in the package goes through it.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .counts import CountSeries, SampleStats, sample_stats
-from .errors import HorizonTooShort
+from .errors import HorizonTooShort, NonConvergence
 from .estimator import EstimateResult, invert_moments
 from .hawkes import ParamBounds
 from .rng import as_generator
@@ -46,20 +47,24 @@ def c2_constant(bounds: ParamBounds) -> float:
     return 3.0 / (1.0 - bounds.alpha_upper) ** 2
 
 
+def horizon_threshold(mu_upper: float, gamma: float) -> float:
+    """Smallest horizon at which the relation-unaware progeny bound holds."""
+    return (mu_upper * math.e**2 / gamma) ** 2.5
+
+
 @dataclass(frozen=True)
 class SensitivitySpec:
     """Adjacency mode plus the constants derived from the prior box and gamma.
 
-    The same user-supplied gamma feeds c1 and the horizon threshold.
-    mu_upper and gamma are retained for the relation-unaware horizon check.
+    The same user-supplied gamma feeds c1 and the horizon threshold, which is
+    0 in relation-aware mode (no horizon requirement).
     """
 
     mode: str
     c1: float
     c2: float
     b: int | None
-    mu_upper: float
-    gamma: float
+    min_horizon: float
 
     @classmethod
     def relation_aware(cls, bounds: ParamBounds, gamma: float, b: int) -> "SensitivitySpec":
@@ -67,14 +72,20 @@ class SensitivitySpec:
         if not b >= 0:
             raise ValueError("b must be a nonnegative integer")
         return cls(mode=RELATION_AWARE, c1=c1_constant(bounds, gamma),
-                   c2=c2_constant(bounds), b=int(b),
-                   mu_upper=bounds.mu_upper, gamma=gamma)
+                   c2=c2_constant(bounds), b=int(b), min_horizon=0.0)
 
     @classmethod
     def relation_unaware(cls, bounds: ParamBounds, gamma: float) -> "SensitivitySpec":
         return cls(mode=RELATION_UNAWARE, c1=c1_constant(bounds, gamma),
                    c2=c2_constant(bounds), b=None,
-                   mu_upper=bounds.mu_upper, gamma=gamma)
+                   min_horizon=horizon_threshold(bounds.mu_upper, gamma))
+
+    @classmethod
+    def for_b_mode(cls, bounds: ParamBounds, gamma: float, b_mode: str) -> "SensitivitySpec":
+        """'auto' selects relation-unaware; anything else is a tree cap B."""
+        if b_mode == "auto":
+            return cls.relation_unaware(bounds, gamma)
+        return cls.relation_aware(bounds, gamma, int(b_mode))
 
 
 def tree_bound(alpha_upper: float, horizon: float) -> float:
@@ -83,7 +94,7 @@ def tree_bound(alpha_upper: float, horizon: float) -> float:
 
 
 def validate_horizon(mu_upper: float, gamma: float, horizon: float) -> bool:
-    return horizon >= (mu_upper * math.e**2 / gamma) ** 2.5
+    return horizon >= horizon_threshold(mu_upper, gamma)
 
 
 def mean_sensitivity(spec: SensitivitySpec, k: int, horizon: float) -> float:
@@ -146,10 +157,9 @@ def privatize_stats(stats: SampleStats, spec: SensitivitySpec, budget: PrivacyBu
     the progeny-bound threshold (the bound is vacuous there). The returned pair
     carries total budget 2*epsilon by composition.
     """
-    if spec.mode == RELATION_UNAWARE and not validate_horizon(spec.mu_upper, spec.gamma, horizon):
-        threshold = (spec.mu_upper * math.e**2 / spec.gamma) ** 2.5
+    if horizon < spec.min_horizon:
         raise HorizonTooShort(
-            f"horizon {horizon:.6g} below relation-unaware threshold {threshold:.6g}")
+            f"horizon {horizon:.6g} below relation-unaware threshold {spec.min_horizon:.6g}")
     rng = as_generator(seed)
     mean_scale = mean_sensitivity(spec, stats.k, horizon) / budget.epsilon
     var_scale = variance_sensitivity(spec, stats.k, delta, horizon) / budget.epsilon
@@ -162,17 +172,17 @@ def private_estimate(series: CountSeries, bounds: ParamBounds, spec: Sensitivity
                      budget: PrivacyBudget, seed: int | np.random.Generator) -> EstimateResult:
     """privatize_stats then invert_moments, labeled with the composed budget.
 
-    Relation-aware release composes to (gamma, 2*epsilon) random-DP;
-    relation-unaware to (2*gamma, 2*epsilon).
+    Raises HorizonTooShort as privatize_stats does, and NonConvergence when
+    the inversion fails or the noise leaves a nonpositive mean. Relation-aware
+    release composes to (gamma, 2*epsilon) random-DP; relation-unaware to
+    (2*gamma, 2*epsilon).
     """
-    stats = sample_stats(series)
-    priv = privatize_stats(stats, spec, budget, series.delta, series.horizon, seed)
+    priv = privatize_stats(sample_stats(series), spec, budget, series.delta,
+                           series.horizon, seed)
+    if not priv.eta_hat > 0:
+        raise NonConvergence(f"privatized mean {priv.eta_hat:.6g} is nonpositive")
     result = invert_moments(priv.eta_hat, priv.sigma_sq_hat, series.delta, bounds)
-    gamma_total = budget.gamma if spec.mode == RELATION_AWARE else 2.0 * budget.gamma
-    b_mode = str(spec.b) if spec.mode == RELATION_AWARE else "auto"
-    return EstimateResult(
-        mu_hat=result.mu_hat, alpha_hat=result.alpha_hat, eta_hat=result.eta_hat,
-        sigma_sq_hat=result.sigma_sq_hat, converged=result.converged,
-        iterations=result.iterations, residual=result.residual,
-        boundary=result.boundary, outside_bounds=result.outside_bounds,
-        epsilon_total=2.0 * budget.epsilon, gamma_total=gamma_total, b_mode=b_mode)
+    aware = spec.mode == RELATION_AWARE
+    return replace(result, epsilon_total=2.0 * budget.epsilon,
+                   gamma_total=budget.gamma if aware else 2.0 * budget.gamma,
+                   b_mode=str(spec.b) if aware else "auto")

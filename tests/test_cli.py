@@ -95,6 +95,19 @@ def test_privatize_requires_epsilon(tmp_path):
                "--out_dir", str(tmp_path)) == EXIT_OK
 
 
+def test_privatize_nonpositive_private_mean_exits_estimation(tmp_path, capsys):
+    path = tmp_path / "ev.csv"
+    run("simulate", "--mu", "1", "--alpha", "0.5", "--horizon", "1000",
+        "--seed", "1", "--out_dir", str(tmp_path), "--out", str(path))
+    result = tmp_path / "result.csv"
+    code = run("privatize", str(path), "--epsilon", "0.01", "--b", "100", "--seed", "2",
+               "--delta_mode", "10", "--out_dir", str(tmp_path), "--out", str(result))
+    assert code == EXIT_ESTIMATION  # the noise drives the mean to -110.459
+    assert "nonpositive" in capsys.readouterr().err
+    header, row = result.read_text().splitlines()
+    assert dict(zip(header.split(","), row.split(",")))["converged"] == "0"
+
+
 def test_sweep_cli_and_all_failed(tmp_path):
     code = run("sweep", "--mu", "1", "--alpha", "0.5", "--horizon", "20000",
                "--repetitions", "2", "--epsilons", "1,10", "--b_values", "10",

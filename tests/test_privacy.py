@@ -196,6 +196,31 @@ def test_private_estimate_metadata_and_limit():
     assert priv.b_mode == "auto"
 
 
+def test_private_estimate_nonpositive_mean_is_nonconvergence():
+    series = bin_events(simulate_branching(HawkesParams(1.0, 0.5), 1000.0, seed=1), 10.0)
+    budget = PrivacyBudget(epsilon=0.005, gamma=GAMMA)
+    priv = privatize_stats(sample_stats(series), spec_aware(100), budget,
+                           series.delta, series.horizon, seed=2)
+    assert priv.eta_hat == pytest.approx(-110.459, abs=1e-3)
+    with pytest.raises(NonConvergence, match="nonpositive"):
+        private_estimate(series, PAPER, spec_aware(100), budget, seed=2)
+
+
+def test_spec_for_b_mode_and_horizon_threshold():
+    assert SensitivitySpec.for_b_mode(PAPER, GAMMA, "auto") == spec_unaware()
+    assert SensitivitySpec.for_b_mode(PAPER, GAMMA, "25") == spec_aware(25)
+    assert spec_aware(25).min_horizon == 0.0
+    threshold = spec_unaware().min_horizon
+    assert threshold == (2.0 * math.e**2 / GAMMA) ** 2.5
+    assert validate_horizon(2.0, GAMMA, threshold)
+    assert not validate_horizon(2.0, GAMMA, math.nextafter(threshold, 0.0))
+    budget = PrivacyBudget(epsilon=1.0, gamma=GAMMA)
+    privatize_stats(_stats(), spec_unaware(), budget, 10.0, threshold, seed=1)
+    with pytest.raises(HorizonTooShort):
+        privatize_stats(_stats(), spec_unaware(), budget, 10.0,
+                        math.nextafter(threshold, 0.0), seed=1)
+
+
 def test_private_estimate_small_budget_often_fails():
     p = HawkesParams(1.0, 0.5)
     series = bin_events(simulate_branching(p, 100000.0, seed=43), 10.0)
