@@ -10,6 +10,7 @@ from .errors import PreconditionViolated
 from .events import EventSequence
 from .hawkes import ParamBounds
 from .privacy import c1_constant
+from .tables import read_table, write_table
 
 TREE_CSV_HEADER = ("tree_size", "count")
 
@@ -89,22 +90,11 @@ def write_tree_csv(stats: TreeStats, path) -> None:
     """Histogram export: one row per observed size."""
     sizes, counts = np.unique(stats.sizes, return_counts=True)
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(TREE_CSV_HEADER) + "\n")
-        for s, c in zip(sizes, counts):
-            fh.write(f"{int(s)},{int(c)}\n")
+        write_table(fh, TREE_CSV_HEADER, zip(sizes, counts))
 
 
 def read_tree_csv(path) -> tuple[np.ndarray, np.ndarray]:
     with open(path, newline="") as fh:
-        header = fh.readline().strip()
-        if tuple(header.split(",")) != TREE_CSV_HEADER:
-            raise ValueError(f"{path}: expected header {','.join(TREE_CSV_HEADER)}")
-        sizes, counts = [], []
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            s, c = line.split(",")
-            sizes.append(int(s))
-            counts.append(int(c))
-    return np.asarray(sizes, dtype=np.int64), np.asarray(counts, dtype=np.int64)
+        rows = read_table(fh, TREE_CSV_HEADER)
+    return (np.asarray([int(s) for s, _ in rows], dtype=np.int64),
+            np.asarray([int(c) for _, c in rows], dtype=np.int64))

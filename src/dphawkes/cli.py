@@ -1,8 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 configuration error, 3 I/O error,
-4 estimation failure (non-convergence or horizon below the privacy threshold),
-5 all sweep cells failed.
+Exit codes: 0 success, 2 configuration error, 3 I/O or input-data error,
+4 estimation failure (non-convergence, a privatized mean at or below zero, or
+horizon below the relation-unaware threshold), 5 all sweep cells failed.
 """
 from __future__ import annotations
 
@@ -14,7 +14,8 @@ import sys
 from .branching import tree_sizes, write_tree_csv
 from .complexity import (ComplexityInputs, eta4_monte_carlo, required_T_nonprivate,
                          required_T_private, write_complexity_csv)
-from .config import ExperimentConfig, delta_from_rule, parse_config_file
+from .config import (CONFIG_KEYS, ExperimentConfig, check_b_mode, delta_from_rule,
+                     load_config, parse_config_file, parse_value)
 from .counts import bin_events, sample_stats
 from .errors import ConfigError, HorizonTooShort, NonConvergence, PreconditionViolated
 # invert_moments and privatize_stats are unused here but stay bound: the traced
@@ -27,6 +28,7 @@ from .experiments import (BASELINE_B_MODE, emit_plot_script, run_sweep,
                           run_time_to_threshold, summarize_sweep,
                           write_summary_csv, write_sweep_csv, write_threshold_csv)
 from .simulate import simulate_branching, simulate_thinning
+from .tables import write_table
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -39,40 +41,28 @@ RESULT_CSV_HEADER = ("mu_hat", "alpha_hat", "eta_hat", "sigma_sq_hat", "converge
                      "gamma_total", "b_mode", "err_mu", "err_alpha")
 
 
+_FLAG_HELP = {"epsilons": "comma-separated total budgets",
+              "b_values": "comma-separated tree caps or 'auto'",
+              "delta_mode": "'log' or a fixed bin width"}
+
+
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="flat key=value configuration file")
-    parser.add_argument("--mu", type=float)
-    parser.add_argument("--alpha", type=float)
-    parser.add_argument("--mu_lower", type=float)
-    parser.add_argument("--mu_upper", type=float)
-    parser.add_argument("--alpha_lower", type=float)
-    parser.add_argument("--alpha_upper", type=float)
-    parser.add_argument("--gamma", type=float)
-    parser.add_argument("--epsilons", help="comma-separated total budgets")
-    parser.add_argument("--b_values", help="comma-separated tree caps or 'auto'")
-    parser.add_argument("--delta_mode", help="'log' or a fixed bin width")
-    parser.add_argument("--horizon", type=float)
-    parser.add_argument("--repetitions", type=int)
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--out_dir")
+    for key in CONFIG_KEYS:
+        parser.add_argument(f"--{key}", help=_FLAG_HELP.get(key))
 
 
-def _config_from_args(args) -> tuple[ExperimentConfig, dict]:
-    overrides = {key: getattr(args, key) for key in
-                 ("mu", "alpha", "mu_lower", "mu_upper", "alpha_lower", "alpha_upper",
-                  "gamma", "delta_mode", "horizon", "repetitions", "seed", "out_dir")}
-    if args.epsilons is not None:
-        overrides["epsilons"] = tuple(float(t) for t in args.epsilons.split(",") if t.strip())
-    if args.b_values is not None:
-        overrides["b_values"] = tuple(t.strip() for t in args.b_values.split(",") if t.strip())
-    file_values = parse_config_file(args.config) if args.config else {}
-    explicit = set(file_values) | {k for k, v in overrides.items() if v is not None}
-    merged = dict(file_values)
-    merged.update({k: v for k, v in overrides.items() if v is not None})
-    try:
-        return ExperimentConfig(**merged), {"explicit": explicit}
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
+def _config_from_args(args) -> tuple[ExperimentConfig, set]:
+    """The config from --config and the flags over it, and the keys given."""
+    flags = {}
+    for key in CONFIG_KEYS:
+        if getattr(args, key) is not None:
+            try:
+                flags[key] = parse_value(key, getattr(args, key))
+            except ValueError as exc:
+                raise ConfigError(f"--{key}: {exc}") from exc
+    file_keys = set(parse_config_file(args.config)) if args.config else set()
+    return load_config(args.config, **flags), file_keys | set(flags)
 
 
 def _ensure_out_dir(config: ExperimentConfig) -> str:
@@ -113,8 +103,11 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _load_events(path, horizon_flag: float | None):
-    horizon = horizon_flag
+def _load_events(args, config: ExperimentConfig):
+    """The input events; the horizon is --horizon, else the .meta file's, else
+    the last timestamp."""
+    path = args.input
+    horizon = config.horizon if args.horizon is not None else None
     if horizon is None and os.path.exists(path + ".meta"):
         meta = _read_meta(path + ".meta")
         if "horizon" in meta:
@@ -122,27 +115,19 @@ def _load_events(path, horizon_flag: float | None):
     return read_events_csv(path, horizon=horizon)
 
 
-def _result_row(result: EstimateResult | None, err_mu, err_alpha) -> list[str]:
+def _write_result_csv(path, result: EstimateResult | None, err_mu, err_alpha) -> None:
+    """One result row; a failed estimate (result None) fills only converged=0."""
     if result is None:
-        return ["", "", "", "", "0", "", "", "", "", "", "", "", ""]
-    def fmt(v):
-        return "" if v is None else (f"{v:.17g}" if isinstance(v, float) else str(v))
-    return [fmt(result.mu_hat), fmt(result.alpha_hat), fmt(result.eta_hat),
-            fmt(result.sigma_sq_hat), str(int(result.converged)),
-            str(result.iterations), fmt(result.residual), result.boundary or "",
-            fmt(result.epsilon_total), fmt(result.gamma_total), result.b_mode or "",
-            fmt(err_mu), fmt(err_alpha)]
-
-
-def _write_result_csv(path, result, err_mu, err_alpha) -> None:
+        row = [False if key == "converged" else None for key in RESULT_CSV_HEADER]
+    else:
+        row = [getattr(result, key) for key in RESULT_CSV_HEADER[:11]] + [err_mu, err_alpha]
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(RESULT_CSV_HEADER) + "\n")
-        fh.write(",".join(_result_row(result, err_mu, err_alpha)) + "\n")
+        write_table(fh, RESULT_CSV_HEADER, [row])
 
 
 def _estimate_flow(args, privatize_required: bool) -> int:
-    config, meta = _config_from_args(args)
-    events = _load_events(args.input, args.horizon)
+    config, given = _config_from_args(args)
+    events = _load_events(args, config)
     delta = delta_from_rule(config.delta_mode, events.horizon)
     series = bin_events(events, delta)
     stats = sample_stats(series)
@@ -156,7 +141,8 @@ def _estimate_flow(args, privatize_required: bool) -> int:
     try:
         if epsilon_total is not None:
             budget = PrivacyBudget(epsilon=epsilon_total / 2.0, gamma=config.gamma)
-            spec = SensitivitySpec.for_b_mode(config.bounds, config.gamma, args.b)
+            spec = SensitivitySpec.for_b_mode(config.bounds, config.gamma,
+                                              check_b_mode(args.b))
             result = private_estimate(series, config.bounds, spec, budget, config.seed)
             print(f"private stats: eta_hat={result.eta_hat:.6g} "
                   f"sigma_sq_hat={result.sigma_sq_hat:.6g} (total budget {epsilon_total:g})")
@@ -169,7 +155,7 @@ def _estimate_flow(args, privatize_required: bool) -> int:
         return EXIT_ESTIMATION
 
     err_mu = err_alpha = None
-    truth_given = "mu" in meta["explicit"] and "alpha" in meta["explicit"]
+    truth_given = "mu" in given and "alpha" in given
     if truth_given:
         err_mu = abs(result.mu_hat - config.mu) / config.mu
         err_alpha = abs(result.alpha_hat - config.alpha) / config.alpha
@@ -244,7 +230,7 @@ def cmd_complexity(args) -> int:
         if args.epsilon is None:
             raise ConfigError("--epsilon is required for the private bound")
         budget = PrivacyBudget(epsilon=args.epsilon / 2.0, gamma=config.gamma)
-        b = None if args.b in (None, "auto") else int(args.b)
+        b = None if args.b in (None, "auto") else int(check_b_mode(args.b))
         report = required_T_private(inputs, budget, relation_aware_b=b,
                                     constants=args.constants)
     else:
@@ -260,7 +246,7 @@ def cmd_complexity(args) -> int:
 
 def cmd_tree_stats(args) -> int:
     config, _ = _config_from_args(args)
-    events = _load_events(args.input, args.horizon)
+    events = _load_events(args, config)
     stats = tree_sizes(events)
     out = args.out or os.path.join(_ensure_out_dir(config), "tree_stats.csv")
     write_tree_csv(stats, out)

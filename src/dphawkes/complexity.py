@@ -18,6 +18,7 @@ from .hawkes import HawkesParams, ParamBounds
 from .privacy import PrivacyBudget, c1_constant, c2_constant
 from .rng import task_rng
 from .simulate import simulate_branching
+from .tables import read_table, write_table
 
 COMPLEXITY_CSV_HEADER = ("term_label", "value", "binding")
 
@@ -280,26 +281,16 @@ def eta4_monte_carlo(params: HawkesParams, delta: float, num_bins: int,
 
 def write_complexity_csv(report: ComplexityReport, path) -> None:
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(COMPLEXITY_CSV_HEADER) + "\n")
-        for label, value in report.all_terms:
-            fh.write(f"{label},{value:.17g},{int(label == report.binding_term)}\n")
+        write_table(fh, COMPLEXITY_CSV_HEADER,
+                    ((label, value, label == report.binding_term)
+                     for label, value in report.all_terms))
 
 
 def read_complexity_csv(path) -> ComplexityReport:
-    terms: list[tuple[str, float]] = []
-    binding = None
     with open(path, newline="") as fh:
-        header = fh.readline().strip()
-        if tuple(header.split(",")) != COMPLEXITY_CSV_HEADER:
-            raise ValueError(f"{path}: expected header {','.join(COMPLEXITY_CSV_HEADER)}")
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            label, value, flag = line.split(",")
-            terms.append((label, float(value)))
-            if flag == "1":
-                binding = label
+        rows = read_table(fh, COMPLEXITY_CSV_HEADER)
+    terms = [(label, float(value)) for label, value, _ in rows]
+    binding = next((label for label, _, flag in reversed(rows) if flag == "1"), None)
     if binding is None:
         raise ValueError(f"{path}: no binding term marked")
     return ComplexityReport(required_T=dict(terms)[binding], binding_term=binding,

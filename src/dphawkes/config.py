@@ -40,6 +40,13 @@ def delta_from_rule(delta_mode: str, horizon: float) -> float:
     return value
 
 
+def check_b_mode(b: str) -> str:
+    """A tree cap B as given by the user: a positive integer or 'auto'."""
+    if b != "auto" and (not b.isdecimal() or int(b) < 1):
+        raise ConfigError(f"B must be a positive integer or 'auto', got {b!r}")
+    return b
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     mu: float | None = 1.0
@@ -76,8 +83,7 @@ class ExperimentConfig:
             if not eps > 0:
                 raise ConfigError("epsilons must be positive")
         for b in self.b_values:
-            if b != "auto" and (not b.isdigit() or int(b) < 1):
-                raise ConfigError(f"b_values entries must be positive integers or 'auto', got {b!r}")
+            check_b_mode(b)
         if not 0 < self.gamma <= 0.5:
             raise ConfigError("gamma must lie in (0, 1/2]")
         try:
@@ -101,7 +107,8 @@ class ExperimentConfig:
         return delta_from_rule(self.delta_mode, self.horizon)
 
 
-def _parse_value(key: str, raw: str):
+def parse_value(key: str, raw: str):
+    """A config value from its text, as written in a file or given as a flag."""
     raw = raw.strip()
     if key in ("mu", "alpha", "mu_lower", "mu_upper", "alpha_lower", "alpha_upper",
                "gamma", "horizon"):
@@ -129,7 +136,7 @@ def parse_config_file(path) -> dict:
             if key not in CONFIG_KEYS:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
             try:
-                values[key] = _parse_value(key, raw)
+                values[key] = parse_value(key, raw)
             except ValueError as exc:
                 raise ConfigError(f"{path}:{lineno}: {exc}") from exc
     return values

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .events import EventSequence
+from .tables import read_table, write_table
 
 COUNTS_HEADER = ("bin_index", "count")
 
@@ -69,9 +70,7 @@ def sample_stats(series: CountSeries) -> SampleStats:
 def write_counts_csv(series: CountSeries, path) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(f"# delta={series.delta:.17g} horizon={series.horizon:.17g}\n")
-        fh.write(",".join(COUNTS_HEADER) + "\n")
-        for i, c in enumerate(series.counts):
-            fh.write(f"{i},{int(c)}\n")
+        write_table(fh, COUNTS_HEADER, enumerate(series.counts))
 
 
 def read_counts_csv(path) -> CountSeries:
@@ -82,16 +81,7 @@ def read_counts_csv(path) -> CountSeries:
         fields = dict(tok.split("=", 1) for tok in meta[1:].split())
         delta = float(fields["delta"])
         horizon = float(fields["horizon"])
-        header = fh.readline().strip()
-        if tuple(header.split(",")) != COUNTS_HEADER:
-            raise ValueError(f"{path}: expected header {','.join(COUNTS_HEADER)}")
-        counts = []
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            idx, cnt = line.split(",")
-            if int(idx) != len(counts):
-                raise ValueError(f"{path}: bin indices must be consecutive from 0")
-            counts.append(int(cnt))
-    return CountSeries(np.asarray(counts, dtype=np.int64), delta, horizon)
+        rows = read_table(fh, COUNTS_HEADER)
+    if [int(i) for i, _ in rows] != list(range(len(rows))):
+        raise ValueError(f"{path}: bin indices must be consecutive from 0")
+    return CountSeries(np.asarray([int(c) for _, c in rows], dtype=np.int64), delta, horizon)

@@ -10,7 +10,6 @@ counts. Everything is a pure function of the base seed.
 """
 from __future__ import annotations
 
-import csv
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -28,7 +27,9 @@ from .estimator import EstimateResult, estimate, invert_moments
 from .ingest import ingest_timestamps
 from .privacy import (PrivacyBudget, SensitivitySpec, mean_sensitivity, private_estimate,
                       privatize_stats, validate_horizon, variance_sensitivity)
+from .rng import derived_seed
 from .simulate import simulate_branching
+from .tables import opt_float, read_table, write_table
 
 SWEEP_CSV_HEADER = ("epsilon", "b_mode", "rep", "seed", "mu_hat", "alpha_hat",
                     "err_mu", "err_alpha", "converged", "wall_ms")
@@ -55,11 +56,6 @@ class SweepRecord:
     wall_ms: float
 
 
-def _derived_seed(base_seed: int, *coords: int) -> int:
-    """Stable 32-bit task seed from the base seed and coordinates."""
-    return int(np.random.SeedSequence([int(base_seed), *map(int, coords)]).generate_state(1)[0])
-
-
 def _norm_errors(result: EstimateResult, truth_mu: float, truth_alpha: float):
     return (abs(result.mu_hat - truth_mu) / truth_mu,
             abs(result.alpha_hat - truth_alpha) / truth_alpha)
@@ -72,13 +68,13 @@ def _sweep_rep(config: ExperimentConfig, rep: int,
     records: list[SweepRecord] = []
     delta = config.delta
     if fixed_series is None:
-        sim_seed = _derived_seed(config.seed, 0, rep)
+        sim_seed = derived_seed(config.seed, 0, rep)
         t0 = time.perf_counter()
         sim = simulate_branching(config.params, config.horizon, sim_seed)
         series = bin_events(sim, delta)
         sim_ms = (time.perf_counter() - t0) * 1000.0
     else:
-        sim_seed = _derived_seed(config.seed, 0, 0)
+        sim_seed = derived_seed(config.seed, 0, 0)
         series = fixed_series
         sim_ms = 0.0
 
@@ -99,7 +95,7 @@ def _sweep_rep(config: ExperimentConfig, rep: int,
     for ei, eps_total in enumerate(config.epsilons):
         budget = PrivacyBudget(epsilon=eps_total / 2.0, gamma=config.gamma)
         for bi, b_mode in enumerate(config.b_values):
-            cell_seed = _derived_seed(config.seed, 1, rep, ei, bi)
+            cell_seed = derived_seed(config.seed, 1, rep, ei, bi)
             spec = SensitivitySpec.for_b_mode(config.bounds, config.gamma, b_mode)
             t0 = time.perf_counter()
             try:
@@ -234,10 +230,10 @@ def run_time_to_threshold(config: ExperimentConfig, threshold: float,
         delta = delta_from_rule(config.delta_mode, horizon)
         series_per_rep = [
             bin_events(simulate_branching(config.params, horizon,
-                                          _derived_seed(config.seed, 3, pi, rep)), delta)
+                                          derived_seed(config.seed, 3, pi, rep)), delta)
             for rep in range(config.repetitions)]
         # One int seed per rep: every cell redraws the same two noise uniforms.
-        noise_seeds = [_derived_seed(config.seed, 4, pi, rep)
+        noise_seeds = [derived_seed(config.seed, 4, pi, rep)
                        for rep in range(config.repetitions)]
         for eps_total, b_mode in cells:
             if (eps_total, b_mode) in resolved:
@@ -268,94 +264,50 @@ def run_time_to_threshold(config: ExperimentConfig, threshold: float,
     return out
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return str(int(value))
-    if isinstance(value, float):
-        return f"{value:.17g}"
-    return str(value)
-
-
 def write_sweep_csv(records: list[SweepRecord], path) -> None:
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(SWEEP_CSV_HEADER) + "\n")
-        for r in records:
-            fh.write(",".join([_fmt(r.epsilon), r.b_mode, str(r.rep), str(r.seed),
-                               _fmt(r.mu_hat), _fmt(r.alpha_hat),
-                               _fmt(r.err_mu), _fmt(r.err_alpha),
-                               str(int(r.converged)), _fmt(r.wall_ms)]) + "\n")
+        write_table(fh, SWEEP_CSV_HEADER,
+                    ([getattr(r, k) for k in SWEEP_CSV_HEADER] for r in records))
 
 
 def read_sweep_csv(path) -> list[SweepRecord]:
-    records = []
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if tuple(reader.fieldnames or ()) != SWEEP_CSV_HEADER:
-            raise ValueError(f"{path}: expected header {','.join(SWEEP_CSV_HEADER)}")
-        for row in reader:
-            records.append(SweepRecord(
-                epsilon=float(row["epsilon"]), b_mode=row["b_mode"],
-                rep=int(row["rep"]), seed=int(row["seed"]),
-                mu_hat=float(row["mu_hat"]) if row["mu_hat"] else None,
-                alpha_hat=float(row["alpha_hat"]) if row["alpha_hat"] else None,
-                err_mu=float(row["err_mu"]) if row["err_mu"] else None,
-                err_alpha=float(row["err_alpha"]) if row["err_alpha"] else None,
-                converged=bool(int(row["converged"])), wall_ms=float(row["wall_ms"])))
-    return records
+        rows = read_table(fh, SWEEP_CSV_HEADER)
+    return [SweepRecord(float(eps), b_mode, int(rep), int(seed), *map(opt_float, estimates),
+                        bool(int(ok)), float(wall_ms))
+            for eps, b_mode, rep, seed, *estimates, ok, wall_ms in rows]
 
 
 def write_summary_csv(rows: list[dict], path) -> None:
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(SUMMARY_CSV_HEADER) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(row[k]) for k in SUMMARY_CSV_HEADER) + "\n")
+        write_table(fh, SUMMARY_CSV_HEADER,
+                    ([row[k] for k in SUMMARY_CSV_HEADER] for row in rows))
+
+
+def read_summary_csv(path) -> list[dict]:
+    with open(path, newline="") as fh:
+        rows = read_table(fh, SUMMARY_CSV_HEADER)
+    return [{"epsilon": float(eps), "b_mode": b_mode, "n": int(n), "n_converged": int(n_ok),
+             **{k: opt_float(v) for k, v in zip(SUMMARY_CSV_HEADER[4:], rest)}}
+            for eps, b_mode, n, n_ok, *rest in rows]
 
 
 def write_threshold_csv(cells: list[ThresholdCell], path) -> None:
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(TTT_CSV_HEADER) + "\n")
-        for c in cells:
-            fh.write(",".join([_fmt(c.epsilon), c.b_mode, _fmt(c.required_t),
-                               str(int(c.capped)), _fmt(c.median_err_alpha)]) + "\n")
+        write_table(fh, TTT_CSV_HEADER, ([getattr(c, k) for k in TTT_CSV_HEADER] for c in cells))
 
 
 def read_threshold_csv(path) -> list[ThresholdCell]:
-    cells = []
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if tuple(reader.fieldnames or ()) != TTT_CSV_HEADER:
-            raise ValueError(f"{path}: expected header {','.join(TTT_CSV_HEADER)}")
-        for row in reader:
-            cells.append(ThresholdCell(
-                epsilon=float(row["epsilon"]), b_mode=row["b_mode"],
-                required_t=float(row["required_t"]) if row["required_t"] else None,
-                capped=bool(int(row["capped"])),
-                median_err_alpha=(float(row["median_err_alpha"])
-                                  if row["median_err_alpha"] else None)))
-    return cells
-
-
-def read_summary_csv(path) -> list[dict]:
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if tuple(reader.fieldnames or ()) != SUMMARY_CSV_HEADER:
-            raise ValueError(f"{path}: expected header {','.join(SUMMARY_CSV_HEADER)}")
-        for raw in reader:
-            row = {"epsilon": float(raw["epsilon"]), "b_mode": raw["b_mode"],
-                   "n": int(raw["n"]), "n_converged": int(raw["n_converged"])}
-            for key in SUMMARY_CSV_HEADER[4:]:
-                row[key] = float(raw[key]) if raw[key] else None
-            rows.append(row)
-    return rows
+        rows = read_table(fh, TTT_CSV_HEADER)
+    return [ThresholdCell(epsilon=float(eps), b_mode=b_mode, required_t=opt_float(t),
+                          capped=bool(int(capped)), median_err_alpha=opt_float(median))
+            for eps, b_mode, t, capped, median in rows]
 
 
 PLOT_SCRIPT = '''\
 #!/usr/bin/env python3
 """Plot the privacy-utility sweep from sweep_summary.csv (this directory)."""
-import csv
 import math
 from collections import defaultdict
 

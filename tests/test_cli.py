@@ -174,3 +174,47 @@ def test_ingest_cli_round_trip(tmp_path):
     from dphawkes import read_events_csv
     seq = read_events_csv(out)
     np.testing.assert_allclose(seq.timestamps, [0.0, 1.0, 2.0])
+
+
+def test_bad_flag_value_is_config_error_like_the_file(tmp_path):
+    # A flag goes through the same value parser as the --config file.
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("epsilons = 1,abc\n")
+    common = ("--repetitions", "1", "--horizon", "2000", "--out_dir", str(tmp_path))
+    assert run("sweep", "--config", str(cfg), *common) == EXIT_CONFIG
+    assert run("sweep", "--epsilons", "1,abc", *common) == EXIT_CONFIG
+    assert run("simulate", "--seed", "1.5", *common) == EXIT_CONFIG
+
+
+def test_estimate_truth_from_config_file_fills_errors(tmp_path):
+    events = tmp_path / "ev.csv"
+    run("simulate", "--mu", "1", "--alpha", "0.5", "--horizon", "20000",
+        "--seed", "3", "--out_dir", str(tmp_path), "--out", str(events))
+    cfg = tmp_path / "truth.cfg"
+    cfg.write_text("mu = 1\nalpha = 0.5\n")
+    rows = {}
+    for name, extra in (("truth", ("--config", str(cfg))), ("none", ())):
+        out = tmp_path / f"{name}.csv"
+        assert run("estimate", str(events), *extra, "--out_dir", str(tmp_path),
+                   "--out", str(out)) == EXIT_OK
+        header, row = out.read_text().splitlines()
+        rows[name] = dict(zip(header.split(","), row.split(",")))
+    assert float(rows["truth"]["err_mu"]) >= 0 and float(rows["truth"]["err_alpha"]) >= 0
+    assert rows["none"]["err_mu"] == rows["none"]["err_alpha"] == ""
+    assert rows["truth"]["alpha_hat"] == rows["none"]["alpha_hat"]
+
+
+def test_invalid_b_is_config_error_and_writes_nothing(tmp_path):
+    events = tmp_path / "ev.csv"
+    run("simulate", "--mu", "1", "--alpha", "0.5", "--horizon", "2000",
+        "--seed", "1", "--out_dir", str(tmp_path), "--out", str(events))
+    out = tmp_path / "result.csv"
+    for b in ("0", "ten", "-1"):
+        # B = 0 would release the exact statistics under a privacy label
+        assert run("privatize", str(events), "--epsilon", "0.001", "--b", b,
+                   "--out_dir", str(tmp_path), "--out", str(out)) == EXIT_CONFIG
+        assert not out.exists()
+    assert run("complexity", "--private", "--epsilon", "1", "--b", "0", "--c", "1",
+               "--xi", "40", "--delta_prob", "0.05", "--delta_bin", "30000",
+               "--sigma_sq", "239986", "--eta4", "1.8e11",
+               "--out_dir", str(tmp_path)) == EXIT_CONFIG
