@@ -61,8 +61,8 @@ def _config_from_args(args) -> tuple[ExperimentConfig, set]:
                 flags[key] = parse_value(key, getattr(args, key))
             except ValueError as exc:
                 raise ConfigError(f"--{key}: {exc}") from exc
-    file_keys = set(parse_config_file(args.config)) if args.config else set()
-    return load_config(args.config, **flags), file_keys | set(flags)
+    values = {**(parse_config_file(args.config) if args.config else {}), **flags}
+    return load_config(**values), set(values)
 
 
 def _ensure_out_dir(config: ExperimentConfig) -> str:

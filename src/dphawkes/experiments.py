@@ -308,6 +308,7 @@ def read_threshold_csv(path) -> list[ThresholdCell]:
 PLOT_SCRIPT = '''\
 #!/usr/bin/env python3
 """Plot the privacy-utility sweep from sweep_summary.csv (this directory)."""
+import csv
 import math
 from collections import defaultdict
 

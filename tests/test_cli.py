@@ -1,6 +1,10 @@
 import os
+import runpy
+import sys
+import types
 
 import numpy as np
+import pytest
 
 from dphawkes.cli import (EXIT_ALL_FAILED, EXIT_CONFIG, EXIT_ESTIMATION, EXIT_IO,
                           EXIT_OK, main)
@@ -108,6 +112,35 @@ def test_privatize_nonpositive_private_mean_exits_estimation(tmp_path, capsys):
     assert dict(zip(header.split(","), row.split(",")))["converged"] == "0"
 
 
+def _run_plot_script(script, cwd):
+    """Run the emitted plot script in cwd against a recording matplotlib.pyplot;
+    returns the (method, args, kwargs) calls made on the figure and the axes."""
+    calls = []
+
+    class Recorder:
+        def __getattr__(self, name):
+            return lambda *args, **kwargs: calls.append((name, args, kwargs))
+
+    pyplot = types.ModuleType("matplotlib.pyplot")
+    pyplot.subplots = lambda **kwargs: (Recorder(), Recorder())
+    matplotlib = types.ModuleType("matplotlib")
+    matplotlib.pyplot = pyplot
+    saved = {k: sys.modules.get(k) for k in ("matplotlib", "matplotlib.pyplot")}
+    sys.modules.update({"matplotlib": matplotlib, "matplotlib.pyplot": pyplot})
+    cwd_before = os.getcwd()
+    try:
+        os.chdir(cwd)
+        runpy.run_path(str(script), run_name="__main__")
+    finally:
+        os.chdir(cwd_before)
+        for key, module in saved.items():
+            if module is None:
+                sys.modules.pop(key, None)
+            else:
+                sys.modules[key] = module
+    return calls
+
+
 def test_sweep_cli_and_all_failed(tmp_path):
     code = run("sweep", "--mu", "1", "--alpha", "0.5", "--horizon", "20000",
                "--repetitions", "2", "--epsilons", "1,10", "--b_values", "10",
@@ -117,7 +150,10 @@ def test_sweep_cli_and_all_failed(tmp_path):
     assert (tmp_path / "sweep_summary.csv").exists()
     script = tmp_path / "plot_sweep.py"
     assert script.exists()
-    compile(script.read_text(), str(script), "exec")  # plot script parses
+    calls = _run_plot_script(script, tmp_path)
+    b_labels = [k["label"] for name, _, k in calls if name == "plot"]
+    assert b_labels == ["B = 10"]
+    assert ("savefig", ("sweep_plot.png",), {"dpi": 150}) in calls
 
     # relation-unaware cells all fail below the horizon threshold
     code = run("sweep", "--mu", "1", "--alpha", "0.5", "--horizon", "20000",
@@ -202,6 +238,23 @@ def test_estimate_truth_from_config_file_fills_errors(tmp_path):
     assert float(rows["truth"]["err_mu"]) >= 0 and float(rows["truth"]["err_alpha"]) >= 0
     assert rows["none"]["err_mu"] == rows["none"]["err_alpha"] == ""
     assert rows["truth"]["alpha_hat"] == rows["none"]["alpha_hat"]
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_config_file_is_read_once(tmp_path):
+    # a pipe, as given by --config <(gen_cfg), yields its text to one reader only
+    read_end, write_end = os.pipe()
+    os.write(write_end, b"mu = 2\nalpha = 0.25\nseed = 7\n")
+    os.close(write_end)
+    out = tmp_path / "ev.csv"
+    try:
+        code = run("simulate", "--config", f"/dev/fd/{read_end}", "--horizon", "100",
+                   "--out_dir", str(tmp_path), "--out", str(out))
+    finally:
+        os.close(read_end)
+    assert code == EXIT_OK
+    meta = (tmp_path / "ev.csv.meta").read_text().splitlines()
+    assert {"mu=2", "alpha=0.25", "horizon=100", "seed=7"} <= set(meta)
 
 
 def test_invalid_b_is_config_error_and_writes_nothing(tmp_path):
