@@ -61,12 +61,12 @@ def largest_tree_prob_bound(mu: float, alpha: float, horizon: float, a: float) -
 
 
 def tree_sizes(events: EventSequence) -> TreeStats:
-    """Multiset of in-window tree sizes, grouped by tree_id."""
-    if not events.labeled:
-        raise ValueError("sequence carries no tree labels")
+    """Multiset of in-window tree sizes, grouped by tree_id (none if empty)."""
     if len(events) == 0:
         return TreeStats(sizes=np.zeros(0, dtype=np.int64), num_trees=0,
                          horizon=events.horizon)
+    if not events.labeled:
+        raise ValueError("sequence carries no tree labels")
     counts = np.bincount(events.tree_id)
     sizes = counts[counts > 0]
     return TreeStats(sizes=sizes, num_trees=int(sizes.size), horizon=events.horizon)

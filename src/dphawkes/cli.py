@@ -2,7 +2,10 @@
 
 Exit codes: 0 success, 2 configuration error, 3 I/O or input-data error,
 4 estimation failure (non-convergence, a privatized mean at or below zero, or
-horizon below the relation-unaware threshold), 5 all sweep cells failed.
+horizon below the relation-unaware threshold), 5 all sweep cells failed. Any
+out-of-range or non-finite parameter, from a flag, a --config file or a
+library type, is a ConfigError and exits 2; epsilon = inf (the labelled
+non-private limit) and an infinite --threshold are accepted.
 """
 from __future__ import annotations
 
@@ -125,27 +128,29 @@ def _write_result_csv(path, result: EstimateResult | None, err_mu, err_alpha) ->
         write_table(fh, RESULT_CSV_HEADER, [row])
 
 
-def _estimate_flow(args, privatize_required: bool) -> int:
+def cmd_estimate(args) -> int:
+    """estimate, or privatize when args.eps_required (then --epsilon is needed)."""
     config, given = _config_from_args(args)
+    if args.eps_required and args.epsilon is None:
+        raise ConfigError("--epsilon is required for privatize")
+    b_mode = check_b_mode(args.b)
+    budget = (None if args.epsilon is None
+              else PrivacyBudget(epsilon=args.epsilon / 2.0, gamma=config.gamma))
     events = _load_events(args, config)
+    if not len(events):
+        raise ValueError(f"{args.input}: the file holds no events")
     delta = delta_from_rule(config.delta_mode, events.horizon)
     series = bin_events(events, delta)
     stats = sample_stats(series)
     print(f"bins K={stats.k} delta={delta:g}  eta_hat={stats.eta_hat:.6g} "
           f"sigma_sq_hat={stats.sigma_sq_hat:.6g}")
 
-    epsilon_total = args.epsilon
-    if privatize_required and epsilon_total is None:
-        raise ConfigError("--epsilon is required for privatize")
-    result = None
     try:
-        if epsilon_total is not None:
-            budget = PrivacyBudget(epsilon=epsilon_total / 2.0, gamma=config.gamma)
-            spec = SensitivitySpec.for_b_mode(config.bounds, config.gamma,
-                                              check_b_mode(args.b))
+        if budget is not None:
+            spec = SensitivitySpec.for_b_mode(config.bounds, config.gamma, b_mode)
             result = private_estimate(series, config.bounds, spec, budget, config.seed)
             print(f"private stats: eta_hat={result.eta_hat:.6g} "
-                  f"sigma_sq_hat={result.sigma_sq_hat:.6g} (total budget {epsilon_total:g})")
+                  f"sigma_sq_hat={result.sigma_sq_hat:.6g} (total budget {args.epsilon:g})")
         else:
             result = estimate(series, config.bounds)
     except (NonConvergence, HorizonTooShort) as exc:
@@ -166,14 +171,6 @@ def _estimate_flow(args, privatize_required: bool) -> int:
     if args.out:
         _write_result_csv(args.out, result, err_mu, err_alpha)
     return EXIT_OK
-
-
-def cmd_estimate(args) -> int:
-    return _estimate_flow(args, privatize_required=False)
-
-
-def cmd_privatize(args) -> int:
-    return _estimate_flow(args, privatize_required=True)
 
 
 def cmd_sweep(args) -> int:
@@ -279,8 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--warmup", type=float, default=None)
     p.set_defaults(func=cmd_simulate)
 
-    for name, func, eps_required in (("estimate", cmd_estimate, False),
-                                     ("privatize", cmd_privatize, True)):
+    for name, eps_required in (("estimate", False), ("privatize", True)):
         p = sub.add_parser(name, help=f"{name} parameters from an events CSV")
         _add_config_flags(p)
         p.add_argument("input", help="events CSV (header timestamp,tree_id,parent_idx)")
@@ -289,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--b", default="10",
                        help="maximum tree size, or 'auto' for relation-unaware")
         p.add_argument("--out", help="write a one-row result CSV here")
-        p.set_defaults(func=func)
+        p.set_defaults(func=cmd_estimate, eps_required=eps_required)
 
     p = sub.add_parser("sweep", help="privacy-utility sweep over (epsilon, B)")
     _add_config_flags(p)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .counts import bin_events
-from .errors import PreconditionViolated
+from .errors import ConfigError, PreconditionViolated
 from .hawkes import HawkesParams, ParamBounds
 from .privacy import PrivacyBudget, c1_constant, c2_constant
 from .rng import task_rng
@@ -108,14 +108,13 @@ class ComplexityInputs:
     c: float | None = None
 
     def __post_init__(self):
-        if not self.xi > 0:
-            raise ValueError("xi must be positive")
+        optional = () if self.c is None else ("c",)
+        for name in ("xi", "delta_bin", "eta4", "sigma_sq", *optional):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ConfigError(f"{name} must be positive and finite, got {value}")
         if not 0 < self.delta_prob <= 1:
-            raise ValueError("delta_prob must lie in (0, 1]")
-        if not self.delta_bin > 0:
-            raise ValueError("delta_bin must be positive")
-        if not self.sigma_sq > 0:
-            raise ValueError("sigma_sq must be positive")
+            raise ConfigError(f"delta_prob must lie in (0, 1], got {self.delta_prob}")
 
 
 @dataclass(frozen=True)
@@ -139,6 +138,9 @@ def _check_preconditions(inputs: ComplexityInputs, c9: float) -> None:
 
 
 def _report(terms: list[tuple[str, float]]) -> ComplexityReport:
+    for label, value in terms:
+        if not math.isfinite(value):
+            raise ConfigError(f"term {label} is {value}: the inputs are out of float range")
     binding = max(terms, key=lambda kv: kv[1])
     return ComplexityReport(required_T=binding[1], binding_term=binding[0],
                             all_terms=terms)
@@ -181,7 +183,7 @@ def _solve_t_over_logpow(rhs: float, power: float) -> float:
     if f(lo) >= rhs:
         return lo
     if f(hi) < rhs:
-        raise ValueError(f"condition T/(log T)^{power} >= {rhs:.3g} unsolvable below 1e30")
+        raise ConfigError(f"condition T/(log T)^{power} >= {rhs:.3g} unsolvable below 1e30")
     while hi - lo > _SOLVE_RTOL * hi:
         mid = 0.5 * (lo + hi)
         if f(mid) >= rhs:
@@ -201,7 +203,7 @@ def required_T_private(inputs: ComplexityInputs, budget: PrivacyBudget,
     condition to its known-maximum-tree-size form.
     """
     if inputs.c is None:
-        raise ValueError("inputs.c (the Delta = c*log T constant) is required")
+        raise ConfigError("inputs.c (the Delta = c*log T constant) is required")
     c9 = c9_constant(inputs.bounds, constants)
     _check_preconditions(inputs, c9)
     b = inputs.bounds
@@ -264,8 +266,8 @@ def eta4_monte_carlo(params: HawkesParams, delta: float, num_bins: int,
     known theoretical mean, and the standard error comes from per-series block
     means (bins within a series are dependent, series are not).
     """
-    if num_bins < 10_000:
-        raise ValueError("num_bins must be at least 1e4")
+    if not 10_000 <= num_bins < math.inf:
+        raise ConfigError(f"num_bins must be at least 1e4 and finite, got {num_bins}")
     eta = params.mu * delta / (1.0 - params.alpha)
     bins_per = min(5000, num_bins // 20)
     n_series = math.ceil(num_bins / bins_per)

@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 
 from .errors import ConfigError
 from .hawkes import HawkesParams, ParamBounds
+from .privacy import PrivacyBudget
 
 OUT_DIR_ENV = "DPHAWKES_OUT"
 
@@ -35,15 +36,16 @@ def delta_from_rule(delta_mode: str, horizon: float) -> float:
         value = float(delta_mode)
     except ValueError:
         raise ConfigError(f"delta_mode must be 'log' or a number, got {delta_mode!r}")
-    if not value > 0:
-        raise ConfigError("fixed delta must be positive")
+    if not 0 < value < math.inf:
+        raise ConfigError(f"fixed delta must be positive and finite, got {value}")
     return value
 
 
 def check_b_mode(b: str) -> str:
-    """A tree cap B as given by the user: a positive integer or 'auto'."""
-    if b != "auto" and (not b.isdecimal() or int(b) < 1):
-        raise ConfigError(f"B must be a positive integer or 'auto', got {b!r}")
+    """A tree cap B as given by the user: 'auto' or a positive integer a float
+    holds exactly (at most 2**53, 16 digits)."""
+    if b != "auto" and not (b.isdecimal() and len(b) <= 16 and 1 <= int(b) <= 2**53):
+        raise ConfigError(f"B must be a positive integer up to 2**53 or 'auto', got {b!r}")
     return b
 
 
@@ -66,36 +68,28 @@ class ExperimentConfig:
     out_dir: str = field(default_factory=lambda: os.environ.get(OUT_DIR_ENV, "."))
 
     def __post_init__(self):
+        # mu, alpha, the prior box, epsilon and gamma are checked by their types
         if self.dataset is None:
-            if self.mu is None or self.alpha is None:
-                raise ConfigError("either (mu, alpha) or a dataset path is required")
-            try:
-                HawkesParams(self.mu, self.alpha)
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from exc
-        if not self.horizon > 0:
-            raise ConfigError("horizon must be positive")
+            self.params
+        if not 0 < self.horizon < math.inf:
+            raise ConfigError(f"horizon must be positive and finite, got {self.horizon}")
         if self.repetitions < 1:
             raise ConfigError("repetitions must be at least 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         if not self.epsilons or not self.b_values:
             raise ConfigError("epsilon and B grids must be nonempty")
         for eps in self.epsilons:
-            if not eps > 0:
-                raise ConfigError("epsilons must be positive")
+            PrivacyBudget(eps / 2.0, self.gamma)
         for b in self.b_values:
             check_b_mode(b)
-        if not 0 < self.gamma <= 0.5:
-            raise ConfigError("gamma must lie in (0, 1/2]")
-        try:
-            self.bounds
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        delta_from_rule(self.delta_mode, self.horizon)
+        self.bounds
+        self.delta
 
     @property
     def params(self) -> HawkesParams:
         if self.mu is None or self.alpha is None:
-            raise ConfigError("no generative parameters configured")
+            raise ConfigError("either (mu, alpha) or a dataset path is required")
         return HawkesParams(self.mu, self.alpha)
 
     @property

@@ -10,6 +10,7 @@ from .events import EventSequence
 from .tables import read_table, write_table
 
 COUNTS_HEADER = ("bin_index", "count")
+MAX_BINS = 10**8  # 800 MB of int64 counts
 
 
 @dataclass(frozen=True)
@@ -51,8 +52,9 @@ def bin_events(events: EventSequence, delta: float) -> CountSeries:
     if not delta > 0:
         raise ValueError("delta must be positive")
     k = int(math.floor(events.horizon / delta + 1e-9))
-    if k < 2:
-        raise ValueError(f"horizon {events.horizon} yields {k} bin(s); need at least 2")
+    if not 2 <= k <= MAX_BINS:
+        raise ValueError(f"horizon {events.horizon:g} yields {k:.3g} bin(s) of width {delta:g}; "
+                         f"need 2 to {MAX_BINS:.0e}")
     ts = events.timestamps
     ts = ts[ts < k * delta]
     idx = np.floor_divide(ts, delta).astype(np.int64)

@@ -9,6 +9,7 @@ noise.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .counts import CountSeries, sample_stats
@@ -47,9 +48,11 @@ def invert_moments(eta_hat: float, sigma_sq_hat: float, delta: float,
     """Find alpha_hat in the prior bracket, then mu_hat from the mean equation.
 
     Raises NonConvergence when the target variance is not reachable for any
-    alpha in the bracket (e.g. a privatized variance at or below the mean);
-    the failure is reported, never silently clamped.
+    alpha in the bracket (a moment that is not finite, or a privatized
+    variance at or below the mean); the failure is never silently clamped.
     """
+    if not (math.isfinite(eta_hat) and math.isfinite(sigma_sq_hat)):
+        raise NonConvergence(f"moments {eta_hat:.6g} and {sigma_sq_hat:.6g} are not finite")
     if not eta_hat > 0:
         raise ValueError("eta_hat must be positive")
     if not delta > 0:

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,8 +34,8 @@ class EventSequence:
         object.__setattr__(self, "timestamps", ts)
         if ts.ndim != 1:
             raise ValueError("timestamps must be one-dimensional")
-        if self.horizon < 0:
-            raise ValueError("horizon must be nonnegative")
+        if not 0 <= self.horizon < math.inf:
+            raise ValueError(f"horizon must be nonnegative and finite, got {self.horizon}")
         if ts.size:
             if ts[0] < 0 or ts[-1] > self.horizon:
                 raise ValueError("timestamps must lie in [0, horizon]")

@@ -121,6 +121,8 @@ def run_sweep(config: ExperimentConfig, workers: int = 1) -> list[SweepRecord]:
     Records come back in deterministic cell order (epsilon, then B, then rep),
     baselines last, regardless of worker completion order.
     """
+    if not workers >= 1:
+        raise ConfigError(f"workers must be at least 1, got {workers}")
     fixed_series: CountSeries | None = None
     if config.dataset is not None:
         events = ingest_timestamps(config.dataset)
@@ -210,8 +212,8 @@ def run_time_to_threshold(config: ExperimentConfig, threshold: float,
         raise ConfigError("time-to-threshold requires synthetic ground truth")
     if not threshold > 0:
         raise ConfigError("threshold must be positive")
-    if not 0 < t_min <= t_max:
-        raise ConfigError("need 0 < t_min <= t_max")
+    if not 0 < t_min <= t_max < math.inf:
+        raise ConfigError("need 0 < t_min <= t_max < inf")
     probes: list[float] = []
     t = t_min
     while t <= t_max:

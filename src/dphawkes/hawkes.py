@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigError
 from .events import EventSequence
 
 
@@ -22,10 +23,10 @@ class HawkesParams:
     alpha: float
 
     def __post_init__(self):
-        if not self.mu > 0:
-            raise ValueError(f"mu must be positive, got {self.mu}")
+        if not 0 < self.mu < math.inf:
+            raise ConfigError(f"mu must be positive and finite, got {self.mu}")
         if not 0 < self.alpha < 1:
-            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
+            raise ConfigError(f"alpha must lie in (0, 1), got {self.alpha}")
 
     @property
     def stationary_rate(self) -> float:
@@ -42,10 +43,10 @@ class ParamBounds:
     alpha_upper: float
 
     def __post_init__(self):
-        if not 0 < self.mu_lower <= self.mu_upper:
-            raise ValueError("need 0 < mu_lower <= mu_upper")
+        if not 0 < self.mu_lower <= self.mu_upper < math.inf:
+            raise ConfigError("need 0 < mu_lower <= mu_upper < inf")
         if not 0 < self.alpha_lower <= self.alpha_upper < 1:
-            raise ValueError("need 0 < alpha_lower <= alpha_upper < 1")
+            raise ConfigError("need 0 < alpha_lower <= alpha_upper < 1")
 
     def contains(self, mu: float, alpha: float) -> bool:
         return (self.mu_lower <= mu <= self.mu_upper

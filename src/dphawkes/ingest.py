@@ -1,10 +1,12 @@
 """Ingestion of raw timestamp files into canonical event sequences."""
 from __future__ import annotations
 
+import math
 import warnings
 
 import numpy as np
 
+from .errors import ConfigError
 from .events import EventSequence
 
 
@@ -16,8 +18,8 @@ def ingest_timestamps(path, time_unit_scale: float = 1.0) -> EventSequence:
     times are shifted so the first event sits at 0 and scaled by
     time_unit_scale; the horizon is the last (scaled) timestamp.
     """
-    if not time_unit_scale > 0:
-        raise ValueError("time_unit_scale must be positive")
+    if not 0 < time_unit_scale < math.inf:
+        raise ConfigError(f"time_unit_scale must be positive and finite, got {time_unit_scale}")
     values: list[float] = []
     bad: list[int] = []
     with open(path, newline="") as fh:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .counts import CountSeries, SampleStats, sample_stats
-from .errors import HorizonTooShort, NonConvergence
+from .errors import ConfigError, HorizonTooShort, NonConvergence
 from .estimator import EstimateResult, invert_moments
 from .hawkes import ParamBounds
 from .rng import as_generator
@@ -27,16 +27,17 @@ RELATION_UNAWARE = "relation_unaware"
 
 @dataclass(frozen=True)
 class PrivacyBudget:
-    """Per-statistic epsilon and random-DP failure probability gamma."""
+    """Per-statistic epsilon and random-DP failure probability gamma; epsilon =
+    inf is the labelled non-private limit, which releases the exact statistics."""
 
     epsilon: float
     gamma: float
 
     def __post_init__(self):
         if not self.epsilon > 0:
-            raise ValueError("epsilon must be positive")
+            raise ConfigError("epsilon must be positive")
         if not 0 < self.gamma <= 0.5:
-            raise ValueError("gamma must lie in (0, 1/2]")
+            raise ConfigError("gamma must lie in (0, 1/2]")
 
 
 def c1_constant(bounds: ParamBounds, gamma: float) -> float:
@@ -49,7 +50,10 @@ def c2_constant(bounds: ParamBounds) -> float:
 
 def horizon_threshold(mu_upper: float, gamma: float) -> float:
     """Smallest horizon at which the relation-unaware progeny bound holds."""
-    return (mu_upper * math.e**2 / gamma) ** 2.5
+    try:
+        return (mu_upper * math.e**2 / gamma) ** 2.5
+    except OverflowError:  # past float range: no horizon reaches it
+        return math.inf
 
 
 @dataclass(frozen=True)
@@ -154,8 +158,9 @@ def privatize_stats(stats: SampleStats, spec: SensitivitySpec, budget: PrivacyBu
     """Laplace mechanism on the sample mean and variance (two independent draws).
 
     Raises HorizonTooShort in relation-unaware mode when the horizon is below
-    the progeny-bound threshold (the bound is vacuous there). The returned pair
-    carries total budget 2*epsilon by composition.
+    the progeny-bound threshold (the bound is vacuous there), and ConfigError,
+    before any draw, when a noise scale is not a finite float. The returned
+    pair carries total budget 2*epsilon by composition.
     """
     if horizon < spec.min_horizon:
         raise HorizonTooShort(
@@ -163,6 +168,9 @@ def privatize_stats(stats: SampleStats, spec: SensitivitySpec, budget: PrivacyBu
     rng = as_generator(seed)
     mean_scale = mean_sensitivity(spec, stats.k, horizon) / budget.epsilon
     var_scale = variance_sensitivity(spec, stats.k, delta, horizon) / budget.epsilon
+    if not (math.isfinite(mean_scale) and math.isfinite(var_scale)):
+        raise ConfigError(f"Laplace scales {mean_scale:.6g} and {var_scale:.6g} are not both "
+                          "finite: the prior box, gamma or epsilon is out of float range")
     eta_priv = stats.eta_hat + laplace_sample(mean_scale, rng)
     var_priv = stats.sigma_sq_hat + laplace_sample(var_scale, rng)
     return SampleStats(eta_hat=eta_priv, sigma_sq_hat=var_priv, k=stats.k)

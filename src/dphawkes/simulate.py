@@ -15,21 +15,33 @@ import math
 
 import numpy as np
 
+from .errors import ConfigError
 from .events import EventSequence
 from .hawkes import HawkesParams
 from .rng import UniformBuffer, as_generator
+
+# Largest expected event count (warmup included) a simulation may produce: a
+# run peaks at about 150 bytes per event, so 2e7 events take about 3 GB.
+MAX_EXPECTED_EVENTS = 2e7
 
 
 def default_warmup(alpha: float) -> float:
     return 20.0 / (1.0 - alpha)
 
 
-def _check_sim_args(horizon: float, warmup: float | None) -> float:
-    if not horizon > 0:
-        raise ValueError("horizon must be positive")
-    if warmup is not None and warmup < 0:
-        raise ValueError("warmup must be nonnegative")
-    return horizon
+def _check_sim_args(params: HawkesParams, horizon: float, warmup: float | None) -> float:
+    """The warmup to simulate with, once the arguments are checked."""
+    if not 0 < horizon < math.inf:
+        raise ConfigError(f"horizon must be positive and finite, got {horizon}")
+    if warmup is None:
+        warmup = default_warmup(params.alpha)
+    elif not 0 <= warmup < math.inf:
+        raise ConfigError(f"warmup must be nonnegative and finite, got {warmup}")
+    expected = params.stationary_rate * (horizon + warmup)
+    if not expected <= MAX_EXPECTED_EVENTS:
+        raise ConfigError(f"expected {expected:.3g} events, more than the "
+                          f"{MAX_EXPECTED_EVENTS:.3g} a simulation may hold in memory")
+    return warmup
 
 
 def simulate_thinning(params: HawkesParams, horizon: float,
@@ -40,9 +52,7 @@ def simulate_thinning(params: HawkesParams, horizon: float,
     The excitation state is decayed exactly between candidate points, so each
     step costs O(1) instead of a full history sum.
     """
-    _check_sim_args(horizon, warmup)
-    if warmup is None:
-        warmup = default_warmup(params.alpha)
+    warmup = _check_sim_args(params, horizon, warmup)
     rng = as_generator(seed)
     buf = UniformBuffer(rng)
     mu, alpha = params.mu, params.alpha
@@ -75,9 +85,7 @@ def simulate_branching(params: HawkesParams, horizon: float,
     Children past the horizon are dropped (their descendants would fall even
     later, so truncation is exact for the observation window).
     """
-    _check_sim_args(horizon, warmup)
-    if warmup is None:
-        warmup = default_warmup(params.alpha)
+    warmup = _check_sim_args(params, horizon, warmup)
     rng = as_generator(seed)
     start = -warmup
     span = horizon - start

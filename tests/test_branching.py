@@ -222,3 +222,8 @@ def test_tree_csv_round_trip(tmp_path):
     sizes, counts = read_tree_csv(path)
     assert sizes.tolist() == [1, 2, 7]
     assert counts.tolist() == [2, 3, 1]
+
+
+def test_empty_sequence_holds_no_trees_labelled_or_not():
+    stats = tree_sizes(EventSequence(np.zeros(0), horizon=0.0))
+    assert stats.num_trees == 0 and stats.sizes.size == 0

@@ -271,3 +271,40 @@ def test_invalid_b_is_config_error_and_writes_nothing(tmp_path):
                "--xi", "40", "--delta_prob", "0.05", "--delta_bin", "30000",
                "--sigma_sq", "239986", "--eta4", "1.8e11",
                "--out_dir", str(tmp_path)) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--mu_upper", "1e308"), ("--epsilon", "1e-320"), ("--gamma", "1e-320"),
+    ("--b", "1" + "0" * 399),
+], ids=["mu_upper", "epsilon", "gamma", "b"])
+def test_private_release_refuses_non_finite_noise(tmp_path, capsys, flag, value):
+    # an infinite noise scale released sigma_sq_hat=-inf as converged=1, or crashed
+    events = tmp_path / "ev.csv"
+    run("simulate", "--mu", "1", "--alpha", "0.5", "--horizon", "2000",
+        "--seed", "1", "--out_dir", str(tmp_path), "--out", str(events))
+    capsys.readouterr()
+    out = tmp_path / "result.csv"
+    code = run("privatize", str(events), "--epsilon", "1", "--b", "10", flag, value,
+               "--out_dir", str(tmp_path), "--out", str(out))
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    reason = "B must be a positive integer up to 2**53" if flag == "--b" else "not both finite"
+    assert len(err) == 1 and reason in err[0]
+    assert not out.exists()
+
+
+def test_b_past_float_range_is_config_error_for_the_bound(tmp_path):
+    assert run("complexity", "--private", "--epsilon", "1", "--b", "1" + "0" * 399,
+               "--c", "1", "--xi", "40", "--delta_prob", "0.05", "--delta_bin", "30000",
+               "--sigma_sq", "239986", "--eta4", "1.8e11",
+               "--out_dir", str(tmp_path)) == EXIT_CONFIG
+
+
+def test_empty_events_file_names_the_file(tmp_path, capsys):
+    path = tmp_path / "empty.csv"
+    path.write_text("timestamp,tree_id,parent_idx\n")
+    assert run("estimate", str(path), "--out_dir", str(tmp_path)) == EXIT_IO
+    assert f"{path}: the file holds no events" in capsys.readouterr().err
+    assert run("tree-stats", str(path), "--out_dir", str(tmp_path)) == EXIT_OK
+    assert capsys.readouterr().out.startswith("0 trees")
+

@@ -1,0 +1,125 @@
+"""Every numeric flag of every subcommand, given each kind of bad value.
+
+Each case calls cli.main in process. It must end with its documented exit code
+and, when it fails, a one-line reason on stderr; no traceback. Text that
+argparse cannot convert (a CLI-only flag given "" or "abc") ends in argparse's
+SystemExit(2) usage error, whose last line is the reason; every other refusal
+is returned by main. An accepted value runs to the end, so the base arguments
+keep each run small: horizon 1000, one repetition, one epsilon, one B, and a
+time-to-threshold threshold that the first probe meets.
+"""
+import pytest
+
+from dphawkes.cli import (EXIT_ALL_FAILED, EXIT_CONFIG, EXIT_ESTIMATION, EXIT_IO,
+                          EXIT_OK, main)
+from dphawkes.config import CONFIG_KEYS
+
+VALUES = ("nan", "inf", "-inf", "0", "-1", "1e300", "", "abc")
+
+BASE = {
+    "simulate": ("simulate", "--horizon", "1000", "--seed", "1"),
+    "estimate": ("estimate", "{events}"),
+    "privatize": ("privatize", "{events}", "--epsilon", "10", "--b", "10"),
+    "sweep": ("sweep", "--horizon", "1000", "--repetitions", "1", "--epsilons", "10",
+              "--b_values", "10", "--seed", "2"),
+    "time-to-threshold": ("time-to-threshold", "--repetitions", "1", "--epsilons", "10",
+                          "--b_values", "10", "--seed", "1", "--threshold", "100",
+                          "--t_min", "1000", "--t_max", "1000"),
+    "complexity": ("complexity", "--private", "--epsilon", "1", "--b", "10", "--c", "1",
+                   "--xi", "40", "--delta_prob", "0.05", "--delta_bin", "30000",
+                   "--sigma_sq", "239986", "--eta4", "1.8e11"),
+    "tree-stats": ("tree-stats", "{events}"),
+    "ingest": ("ingest", "{raw}", "--scale", "1"),
+}
+
+CLI_FLAGS = {
+    "simulate": ("warmup",),
+    "estimate": ("epsilon", "b"),
+    "privatize": ("epsilon", "b"),
+    "sweep": ("workers",),
+    "time-to-threshold": ("threshold", "t_min", "t_max"),
+    "complexity": ("xi", "delta_prob", "delta_bin", "sigma_sq", "eta4", "eta4_bins", "c",
+                   "epsilon", "b"),
+    "tree-stats": (),
+    "ingest": ("scale",),
+}
+
+# Every case not listed here is refused with exit 2. Listed: (flag, value) ->
+# (exit code, {command: exit code where it differs}).
+NOT_REFUSED = {
+    # a nonnegative seed; an infinite (the labelled non-private limit) or huge budget
+    ("seed", "0"): (EXIT_OK, {}),
+    ("epsilons", "inf"): (EXIT_OK, {}),
+    ("epsilons", "1e300"): (EXIT_OK, {}),
+    ("epsilon", "inf"): (EXIT_OK, {}),
+    ("epsilon", "1e300"): (EXIT_OK, {}),
+    ("warmup", "0"): (EXIT_OK, {}),
+    ("threshold", "inf"): (EXIT_OK, {}),  # met by any error, at the first probe
+    ("threshold", "1e300"): (EXIT_OK, {}),
+    ("t_max", "1e300"): (EXIT_OK, {}),  # the first probe meets the threshold
+    ("scale", "1e300"): (EXIT_OK, {}),
+    ("delta_bin", "1e300"): (EXIT_OK, {}),  # a wider bin only lowers the bound
+    # a simulation would exceed the event cap
+    ("mu", "1e300"): (EXIT_OK, dict.fromkeys(("simulate", "sweep", "time-to-threshold"),
+                                             EXIT_CONFIG)),
+    # the event cap; more bins than a series may hold; unused by the other commands
+    ("horizon", "1e300"): (EXIT_CONFIG, {
+        "estimate": EXIT_IO, "privatize": EXIT_IO,
+        **dict.fromkeys(("time-to-threshold", "complexity", "tree-stats", "ingest"), EXIT_OK)}),
+    # a valid prior box whose variance noise (scale ~1e151) defeats every release
+    ("mu_upper", "1e300"): (EXIT_OK, {"privatize": EXIT_ESTIMATION,
+                                      "sweep": EXIT_ALL_FAILED,
+                                      "complexity": EXIT_CONFIG}),
+    # a bin wider than the horizon leaves fewer than two bins (an input error)
+    ("delta_mode", "1e300"): (EXIT_OK, dict.fromkeys(
+        ("estimate", "privatize", "sweep", "time-to-threshold"), EXIT_IO)),
+}
+
+CASES = [(command, flag) for command in BASE
+         for flag in (*(k for k in CONFIG_KEYS if k != "out_dir"), *CLI_FLAGS[command])]
+
+
+def expected_code(command, flag, value):
+    code, by_command = NOT_REFUSED.get((flag, value), (EXIT_CONFIG, {}))
+    return by_command.get(command, code)
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("values")
+    events, raw = root / "input.csv", root / "raw.csv"
+    assert main(["simulate", "--horizon", "1000", "--seed", "1", "--out_dir", str(root),
+                 "--out", str(events)]) == EXIT_OK
+    raw.write_text("100\n160\n220\n")
+    return {"events": str(events), "raw": str(raw), "out_dir": str(root / "out")}
+
+
+def _outcome(argv, capsys):
+    """(exit code, stderr lines, how it ended) of one in-process run."""
+    try:
+        code, how = main(argv), "returned"
+    except SystemExit as exc:
+        code, how = exc.code, "SystemExit"
+    except Exception as exc:  # any other escape fails the case
+        code, how = None, f"raised {exc!r}"
+    return code, capsys.readouterr().err.strip().splitlines(), how
+
+
+@pytest.mark.parametrize("command,flag", CASES, ids=[f"{c}--{f}" for c, f in CASES])
+def test_numeric_flag_values(command, flag, inputs, capsys):
+    base = [arg.format(**inputs) for arg in BASE[command]]
+    if flag == "eta4_bins":  # the Monte-Carlo estimate runs only without --eta4
+        base = base[:base.index("--eta4")] + base[base.index("--eta4") + 2:]
+    wrong = []
+    for value in VALUES:
+        want = expected_code(command, flag, value)
+        code, err, how = _outcome([*base, "--out_dir", inputs["out_dir"],
+                                   f"--{flag}={value}"], capsys)
+        if how == "SystemExit":  # argparse: usage lines, then one "error:" line
+            ok = code == want == EXIT_CONFIG and err and \
+                err[-1].startswith(f"dphawkes {command}: error: argument --{flag}")
+        else:
+            ok = how == "returned" and code == want and len(err) == (want != EXIT_OK)
+        if not ok:
+            wrong.append(f"--{flag}={value!r}: want {want}, got {code} ({how}) {err}")
+    assert not wrong, "\n".join(wrong)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from dphawkes import (ComplexityInputs, HawkesParams, ParamBounds,
+from dphawkes import (ComplexityInputs, ConfigError, HawkesParams, ParamBounds,
                       PreconditionViolated, PrivacyBudget, c9_constant,
                       eta4_monte_carlo, inverse_normal_cdf, required_T_mean,
                       required_T_nonprivate, required_T_private)
@@ -307,3 +307,28 @@ def test_complexity_csv_round_trip(tmp_path):
     assert back.binding_term == report.binding_term
     assert back.required_T == pytest.approx(report.required_T, rel=1e-15)
     assert [l for l, _ in back.all_terms] == [l for l, _ in report.all_terms]
+
+
+@pytest.mark.parametrize("field, value", [
+    ("eta4", math.inf), ("eta4", 0.0), ("xi", math.inf), ("delta_bin", math.nan),
+    ("sigma_sq", math.inf), ("c", math.inf), ("c", 0.0), ("delta_prob", math.nan),
+])
+def test_complexity_inputs_refuse_non_finite_or_nonpositive(field, value):
+    good = dict(bounds=BOX_A, xi=40.0, delta_prob=0.05, delta_bin=30000.0,
+                eta4=1.8e11, sigma_sq=239986.0, c=1.0)
+    with pytest.raises(ConfigError, match=field):
+        ComplexityInputs(**{**good, field: value})
+
+
+def test_overflowing_term_or_unsolvable_condition_is_config_error():
+    inp = ComplexityInputs(bounds=BOX_A, xi=40.0, delta_prob=0.05, delta_bin=30000.0,
+                           eta4=1e300, sigma_sq=239986.0, c=1.0)
+    with pytest.raises(ConfigError, match="var_fourth_moment"):
+        required_T_nonprivate(inp)
+    with pytest.raises(ConfigError, match="unsolvable"):
+        _solve_t_over_logpow(1e300, 1.0)
+
+
+def test_eta4_monte_carlo_refuses_infinite_bins():
+    with pytest.raises(ConfigError):
+        eta4_monte_carlo(HawkesParams(1.0, 0.5), 10.0, math.inf, seed=1)

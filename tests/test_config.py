@@ -1,6 +1,8 @@
+import math
+
 import pytest
 
-from dphawkes import ConfigError
+from dphawkes import ConfigError, HawkesParams, ParamBounds, PrivacyBudget
 from dphawkes.config import (ExperimentConfig, delta_from_rule, load_config,
                              parse_config_file, round_to_multiple_of_5)
 
@@ -86,3 +88,29 @@ def test_out_dir_env_default(tmp_path, monkeypatch):
     monkeypatch.setenv("DPHAWKES_OUT", str(tmp_path / "results"))
     cfg = ExperimentConfig()
     assert cfg.out_dir == str(tmp_path / "results")
+
+
+@pytest.mark.parametrize("kwargs, owner", [
+    (dict(mu=math.inf), lambda: HawkesParams(math.inf, 0.5)),
+    (dict(mu=None, alpha=None), lambda: ExperimentConfig(mu=None, alpha=None,
+                                                         dataset="x").params),
+    (dict(mu_upper=math.inf), lambda: ParamBounds(0.5, math.inf, 0.1, 0.75)),
+    (dict(gamma=0.7), lambda: PrivacyBudget(0.5, 0.7)),
+    (dict(epsilons=(math.nan,)), lambda: PrivacyBudget(math.nan, 0.05)),
+], ids=["params", "no_params", "bounds", "gamma", "epsilon"])
+def test_config_refusals_come_from_the_owning_type(kwargs, owner):
+    with pytest.raises(ConfigError) as config_error:
+        ExperimentConfig(**kwargs)
+    with pytest.raises(ConfigError) as owner_error:
+        owner()
+    assert str(config_error.value) == str(owner_error.value)
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(horizon=math.inf), dict(horizon=math.nan), dict(seed=-1), dict(delta_mode="inf"),
+    dict(b_values=(str(2**53 + 1),)), dict(b_values=("1" * 5000,)),
+], ids=["horizon_inf", "horizon_nan", "seed", "delta", "b_past_float", "b_5000_digits"])
+def test_config_refuses_values_no_other_type_owns(kwargs):
+    with pytest.raises(ConfigError):
+        ExperimentConfig(**kwargs)
+

@@ -147,3 +147,10 @@ def test_counts_csv_round_trip(tmp_path):
     assert back.delta == series.delta
     assert back.horizon == series.horizon
     np.testing.assert_array_equal(back.counts, series.counts)
+
+
+def test_more_bins_than_a_series_may_hold_is_refused():
+    # np.bincount raised OverflowError for a horizon this long
+    seq = EventSequence(np.array([1.0]), horizon=1e300)
+    with pytest.raises(ValueError, match="bin"):
+        bin_events(seq, 10.0)

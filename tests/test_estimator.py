@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -111,3 +113,11 @@ def test_consistency_error_shrinks_with_horizon():
             r = estimate(series, PAPER)
             errs[t].append(abs(r.alpha_hat - p.alpha))
     assert np.median(errs[1_000_000.0]) < np.median(errs[10_000.0])
+
+
+@pytest.mark.parametrize("eta, var", [(20.0, -math.inf), (20.0, math.inf), (20.0, math.nan),
+                                      (math.inf, 66.0), (math.nan, 66.0)])
+def test_non_finite_moments_never_converge(eta, var):
+    # an infinite target once passed the edge test with tol = 1e-10*|var| = inf
+    with pytest.raises(NonConvergence, match="not finite"):
+        invert_moments(eta, var, 10.0, PAPER)

@@ -70,3 +70,9 @@ def test_one_immigrant_per_tree_without_warmup():
     assert len(roots) == len(set(roots.tolist()))  # one parentless event per tree
     present = np.unique(seq.tree_id)
     assert set(roots.tolist()) == set(present.tolist())
+
+
+def test_rejects_non_finite_horizon():
+    for horizon in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite"):
+            EventSequence(np.array([1.0]), horizon=horizon)

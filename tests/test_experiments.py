@@ -149,3 +149,15 @@ def test_parallel_workers_match_serial():
     parallel = run_sweep(cfg, workers=2)
     for a, b in zip(serial, parallel):
         assert dataclasses.replace(a, wall_ms=0.0) == dataclasses.replace(b, wall_ms=0.0)
+
+
+def test_sweep_refuses_fewer_than_one_worker():
+    for workers in (0, -1):
+        with pytest.raises(ConfigError, match="workers"):
+            run_sweep(small_config(repetitions=1), workers=workers)
+
+
+def test_threshold_search_refuses_infinite_t_max():
+    # t *= 2 reaches inf and inf <= inf would append probes without end
+    with pytest.raises(ConfigError, match="t_max"):
+        run_time_to_threshold(small_config(), threshold=0.1, t_min=5000.0, t_max=math.inf)

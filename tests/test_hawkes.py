@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from dphawkes import (EventSequence, HawkesParams, ParamBounds, intensity_at,
-                      simulate_branching, theoretical_moments, transient_moments)
+from dphawkes import (ConfigError, EventSequence, HawkesParams, ParamBounds,
+                      intensity_at, simulate_branching, theoretical_moments,
+                      transient_moments)
 
 
 def test_params_validation():
@@ -119,3 +120,14 @@ def test_transient_empty_start_matches_simulation():
     sq = (counts - counts.mean()) ** 2
     se_var = sq.std(ddof=1) / math.sqrt(n_sims)
     assert abs(counts.var(ddof=1) - var) < 6 * se_var
+
+
+def test_non_finite_parameters_are_config_errors():
+    for mu in (math.inf, math.nan):
+        with pytest.raises(ConfigError, match="mu must be positive and finite"):
+            HawkesParams(mu, 0.5)
+    with pytest.raises(ConfigError):
+        HawkesParams(1.0, math.nan)
+    for mu_upper in (math.inf, math.nan):
+        with pytest.raises(ConfigError):
+            ParamBounds(0.5, mu_upper, 0.1, 0.75)

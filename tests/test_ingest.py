@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from dphawkes import bin_events, ingest_timestamps
+from dphawkes import ConfigError, bin_events, ingest_timestamps
 
 
 def test_scale_and_shift(tmp_path):
@@ -63,3 +65,11 @@ def test_single_event_fails_only_at_binning(tmp_path):
     assert len(seq) == 1 and seq.horizon == 0.0
     with pytest.raises(ValueError):
         bin_events(seq, 1.0)
+
+
+def test_non_finite_scale_is_config_error(tmp_path):
+    path = tmp_path / "raw.csv"
+    path.write_text("100\n160\n")
+    for scale in (math.inf, math.nan, 0.0):
+        with pytest.raises(ConfigError, match="time_unit_scale"):
+            ingest_timestamps(path, time_unit_scale=scale)

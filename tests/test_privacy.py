@@ -9,7 +9,7 @@ from dphawkes import (HawkesParams, HorizonTooShort, ParamBounds, PrivacyBudget,
                       privatize_stats, private_estimate, sample_stats,
                       simulate_branching, tree_bound, tree_sizes, validate_horizon,
                       variance_sensitivity)
-from dphawkes import NonConvergence
+from dphawkes import ConfigError, NonConvergence
 
 PAPER = ParamBounds(0.5, 2.0, 0.1, 0.75)
 GAMMA = 0.05
@@ -282,3 +282,35 @@ def test_dp_likelihood_ratio_smoke():
     ratio_slack = 3.0 * np.sqrt(1.0 / h1[mask] + 1.0 / h2[mask])
     assert np.all(h1[mask] <= math.exp(eps) * h2[mask] * (1 + ratio_slack))
     assert np.all(h2[mask] <= math.exp(eps) * h1[mask] * (1 + ratio_slack))
+
+
+def test_budget_refusals_are_config_errors_and_infinity_is_the_limit():
+    for eps in (math.nan, -math.inf, 0.0):
+        with pytest.raises(ConfigError, match="epsilon"):
+            PrivacyBudget(epsilon=eps, gamma=GAMMA)
+    with pytest.raises(ConfigError, match="gamma"):
+        PrivacyBudget(epsilon=1.0, gamma=math.nan)
+    assert PrivacyBudget(epsilon=math.inf, gamma=GAMMA).epsilon == math.inf
+
+
+class _NoDraws:
+    """A generator stand-in that fails the test if a draw is made."""
+
+    def random(self, *args):
+        raise AssertionError("noise drawn")
+
+
+@pytest.mark.parametrize("spec, epsilon", [
+    (SensitivitySpec.relation_aware(ParamBounds(0.5, 1e308, 0.1, 0.75), GAMMA, 10), 0.5),
+    (SensitivitySpec.relation_aware(PAPER, 1e-320, 10), 0.5),
+    (SensitivitySpec.relation_aware(PAPER, GAMMA, 10), 5e-321),
+], ids=["mu_upper", "gamma", "epsilon"])
+def test_privatize_refuses_non_finite_noise_scale_before_drawing(spec, epsilon):
+    budget = PrivacyBudget(epsilon=epsilon, gamma=GAMMA)
+    with pytest.raises(ConfigError, match="not both finite"):
+        privatize_stats(_stats(), spec, budget, 10.0, 1e5, seed=_NoDraws())
+
+
+def test_relation_unaware_threshold_past_float_range_is_infinite():
+    spec = SensitivitySpec.relation_unaware(ParamBounds(0.5, 1e300, 0.1, 0.75), GAMMA)
+    assert spec.min_horizon == math.inf

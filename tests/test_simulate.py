@@ -6,6 +6,8 @@ import pytest
 from dphawkes import (HawkesParams, bin_events, default_warmup, sample_stats,
                       simulate_branching, simulate_thinning, theoretical_moments,
                       transient_moments, tree_sizes)
+from dphawkes.errors import ConfigError
+from dphawkes.simulate import MAX_EXPECTED_EVENTS
 
 
 @pytest.mark.parametrize("simulate", [simulate_thinning, simulate_branching])
@@ -126,3 +128,23 @@ def test_thinning_branching_agree_in_distribution():
     # variance of the sample variance via the normal-ish fourth-moment proxy
     se_var = math.sqrt(2.0 * 2.0 * m.sigma_sq**2 / k)
     assert abs(s_thin.sigma_sq_hat - s_branch.sigma_sq_hat) < 3 * se_var
+
+
+@pytest.mark.parametrize("simulate", [simulate_thinning, simulate_branching])
+def test_non_finite_horizon_or_warmup_is_config_error(simulate):
+    p = HawkesParams(1.0, 0.5)
+    for horizon in (math.inf, math.nan):
+        with pytest.raises(ConfigError, match="horizon"):
+            simulate(p, horizon, seed=1)
+    with pytest.raises(ConfigError, match="warmup"):
+        simulate(p, 100.0, seed=1, warmup=math.inf)
+
+
+@pytest.mark.parametrize("simulate", [simulate_thinning, simulate_branching])
+def test_expected_event_count_above_cap_is_refused_before_simulating(simulate):
+    p = HawkesParams(1.0, 0.5)  # 2 events per unit time
+    with pytest.raises(ConfigError, match="events"):
+        simulate(p, MAX_EXPECTED_EVENTS / 2.0, seed=1)
+    # the paper's largest horizon, at the largest rate of its prior box, is admitted
+    p_max = HawkesParams(2.0, 0.75)
+    assert p_max.stationary_rate * (1e6 + default_warmup(p_max.alpha)) < MAX_EXPECTED_EVENTS
