@@ -15,7 +15,8 @@ from .ingest import ingest_timestamps
 from .privacy import (PrivacyBudget, SensitivitySpec, laplace_sample, laplace_samples,
                       mean_sensitivity, privatize_stats, private_estimate, tree_bound,
                       validate_horizon, variance_sensitivity)
-from .simulate import default_warmup, simulate_branching, simulate_thinning
+from .simulate import (branching_counts, default_warmup, simulate_branching,
+                       simulate_thinning)
 
 __all__ = [
     "TreeStats", "borel_pmf", "discrepancy_bound", "largest_tree_prob_bound",
@@ -33,5 +34,5 @@ __all__ = [
     "PrivacyBudget", "SensitivitySpec", "laplace_sample", "laplace_samples",
     "mean_sensitivity", "privatize_stats", "private_estimate", "tree_bound",
     "validate_horizon", "variance_sensitivity",
-    "default_warmup", "simulate_branching", "simulate_thinning",
+    "branching_counts", "default_warmup", "simulate_branching", "simulate_thinning",
 ]

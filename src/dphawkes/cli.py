@@ -213,6 +213,9 @@ def cmd_time_to_threshold(args) -> int:
 
 def cmd_complexity(args) -> int:
     config, _ = _config_from_args(args)
+    b_mode = check_b_mode("auto" if args.b is None else args.b)
+    budget = (None if args.epsilon is None
+              else PrivacyBudget(epsilon=args.epsilon / 2.0, gamma=config.gamma))
     eta4 = args.eta4
     if eta4 is None:
         if args.eta4_bins is None:
@@ -224,10 +227,9 @@ def cmd_complexity(args) -> int:
                               delta_prob=args.delta_prob, delta_bin=args.delta_bin,
                               eta4=eta4, sigma_sq=args.sigma_sq, c=args.c)
     if args.private:
-        if args.epsilon is None:
+        if budget is None:
             raise ConfigError("--epsilon is required for the private bound")
-        budget = PrivacyBudget(epsilon=args.epsilon / 2.0, gamma=config.gamma)
-        b = None if args.b in (None, "auto") else int(check_b_mode(args.b))
+        b = None if b_mode == "auto" else int(b_mode)
         report = required_T_private(inputs, budget, relation_aware_b=b,
                                     constants=args.constants)
     else:

@@ -12,12 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .counts import bin_events
+from .counts import MAX_BINS
 from .errors import ConfigError, PreconditionViolated
 from .hawkes import HawkesParams, ParamBounds
 from .privacy import PrivacyBudget, c1_constant, c2_constant
 from .rng import task_rng
-from .simulate import simulate_branching
+from .simulate import branching_counts
 from .tables import read_table, write_table
 
 COMPLEXITY_CSV_HEADER = ("term_label", "value", "binding")
@@ -266,15 +266,14 @@ def eta4_monte_carlo(params: HawkesParams, delta: float, num_bins: int,
     known theoretical mean, and the standard error comes from per-series block
     means (bins within a series are dependent, series are not).
     """
-    if not 10_000 <= num_bins < math.inf:
-        raise ConfigError(f"num_bins must be at least 1e4 and finite, got {num_bins}")
+    if not 10_000 <= num_bins <= MAX_BINS:
+        raise ConfigError(f"num_bins must lie in [1e4, {MAX_BINS:.0e}], got {num_bins}")
     eta = params.mu * delta / (1.0 - params.alpha)
     bins_per = min(5000, num_bins // 20)
     n_series = math.ceil(num_bins / bins_per)
     block_means = np.empty(n_series)
     for s in range(n_series):
-        sim = simulate_branching(params, bins_per * delta, task_rng(seed, s))
-        counts = bin_events(sim, delta).counts
+        counts = branching_counts(params, bins_per * delta, task_rng(seed, s), delta).counts
         block_means[s] = float(np.mean((counts - eta) ** 4))
     value = float(block_means.mean())
     se = float(block_means.std(ddof=1) / math.sqrt(n_series))

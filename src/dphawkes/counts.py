@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,17 +50,27 @@ class SampleStats:
 
 def bin_events(events: EventSequence, delta: float) -> CountSeries:
     """Left-closed right-open bins; the trailing partial bin is discarded."""
+    return bin_times((events.timestamps,), events.horizon, delta)
+
+
+def bin_times(parts: Iterable[np.ndarray], horizon: float, delta: float) -> CountSeries:
+    """The bins of bin_events over timestamps given in parts, in any order.
+
+    Times outside [0, K * delta) are not counted. The bin rule is checked
+    before the first part is read, so parts may be a lazy generator.
+    """
     if not delta > 0:
         raise ValueError("delta must be positive")
-    k = int(math.floor(events.horizon / delta + 1e-9))
+    k = int(math.floor(horizon / delta + 1e-9))
     if not 2 <= k <= MAX_BINS:
-        raise ValueError(f"horizon {events.horizon:g} yields {k:.3g} bin(s) of width {delta:g}; "
+        raise ValueError(f"horizon {horizon:g} yields {k:.3g} bin(s) of width {delta:g}; "
                          f"need 2 to {MAX_BINS:.0e}")
-    ts = events.timestamps
-    ts = ts[ts < k * delta]
-    idx = np.floor_divide(ts, delta).astype(np.int64)
-    counts = np.bincount(idx, minlength=k)
-    return CountSeries(counts=counts, delta=delta, horizon=k * delta)
+    end = k * delta
+    counts = np.zeros(k, dtype=np.int64)
+    for ts in parts:
+        ts = ts[(ts >= 0.0) & (ts < end)]
+        counts += np.bincount(np.floor_divide(ts, delta).astype(np.int64), minlength=k)
+    return CountSeries(counts=counts, delta=delta, horizon=end)
 
 
 def sample_stats(series: CountSeries) -> SampleStats:

@@ -18,9 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ExperimentConfig, delta_from_rule
-# sample_stats, invert_moments, privatize_stats and the sensitivity helpers are
-# unused here but stay bound: the traced benchmark (perfbench/spans.py) wraps
-# them by module attribute.
+# sample_stats, invert_moments, privatize_stats, the sensitivity helpers and
+# simulate_branching are unused here, and bin_events serves only the dataset
+# path, but they stay bound: the traced benchmark (perfbench/spans.py) wraps
+# them by module attribute. Simulated series come from branching_counts.
 from .counts import CountSeries, bin_events, sample_stats
 from .errors import ConfigError, HorizonTooShort, NonConvergence
 from .estimator import EstimateResult, estimate, invert_moments
@@ -28,7 +29,7 @@ from .ingest import ingest_timestamps
 from .privacy import (PrivacyBudget, SensitivitySpec, mean_sensitivity, private_estimate,
                       privatize_stats, validate_horizon, variance_sensitivity)
 from .rng import derived_seed
-from .simulate import simulate_branching
+from .simulate import branching_counts, simulate_branching
 from .tables import opt_float, read_table, write_table
 
 SWEEP_CSV_HEADER = ("epsilon", "b_mode", "rep", "seed", "mu_hat", "alpha_hat",
@@ -66,12 +67,10 @@ def _sweep_rep(config: ExperimentConfig, rep: int,
     """All records for one repetition: the shared series, a baseline row, and
     one privatized row per (epsilon, b_mode) cell."""
     records: list[SweepRecord] = []
-    delta = config.delta
     if fixed_series is None:
         sim_seed = derived_seed(config.seed, 0, rep)
         t0 = time.perf_counter()
-        sim = simulate_branching(config.params, config.horizon, sim_seed)
-        series = bin_events(sim, delta)
+        series = branching_counts(config.params, config.horizon, sim_seed, config.delta)
         sim_ms = (time.perf_counter() - t0) * 1000.0
     else:
         sim_seed = derived_seed(config.seed, 0, 0)
@@ -231,8 +230,8 @@ def run_time_to_threshold(config: ExperimentConfig, threshold: float,
             break
         delta = delta_from_rule(config.delta_mode, horizon)
         series_per_rep = [
-            bin_events(simulate_branching(config.params, horizon,
-                                          derived_seed(config.seed, 3, pi, rep)), delta)
+            branching_counts(config.params, horizon, derived_seed(config.seed, 3, pi, rep),
+                             delta)
             for rep in range(config.repetitions)]
         # One int seed per rep: every cell redraws the same two noise uniforms.
         noise_seeds = [derived_seed(config.seed, 4, pi, rep)

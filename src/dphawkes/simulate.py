@@ -7,7 +7,8 @@ Excitation memory decays like exp(-(1-alpha)t), so the default warmup of
 20/(1-alpha) leaves residual bias below exp(-20).
 
 Both generators are pure functions of (params, horizon, seed, warmup): safe to
-call concurrently, one derived RNG per task.
+call concurrently, one derived RNG per task. branching_counts bins the
+branching generator's draws directly, for callers that keep only the counts.
 """
 from __future__ import annotations
 
@@ -15,6 +16,7 @@ import math
 
 import numpy as np
 
+from .counts import CountSeries, bin_times
 from .errors import ConfigError
 from .events import EventSequence
 from .hawkes import HawkesParams
@@ -75,6 +77,36 @@ def simulate_thinning(params: HawkesParams, horizon: float,
     return EventSequence(np.asarray(out, dtype=np.float64), horizon)
 
 
+def _generations(params: HawkesParams, horizon: float, rng: np.random.Generator,
+                 warmup: float, with_parents: bool):
+    """The branching sampler's draws, one generation at a time.
+
+    Yields each generation's event times on [-warmup, horizon], immigrants
+    first (sorted), and with each child its parent's index in the previous
+    generation (None for the immigrants, or everywhere when with_parents is
+    false). This loop alone fixes the order of the RNG draws, so every caller
+    sees the same events for the same seed.
+    """
+    start = -warmup
+    span = horizon - start
+    n_imm = int(rng.poisson(params.mu * span))
+    times = start + span * rng.random(n_imm)
+    times.sort()
+    yield times, None
+    while times.size:
+        n_children = rng.poisson(params.alpha, times.size)
+        tot = int(n_children.sum())
+        if tot == 0:
+            return
+        times = np.repeat(times, n_children) + rng.exponential(1.0, tot)
+        keep = times <= horizon
+        times = times[keep]
+        if with_parents:
+            yield times, np.repeat(np.arange(n_children.size), n_children)[keep]
+        else:
+            yield times, None
+
+
 def simulate_branching(params: HawkesParams, horizon: float,
                        seed: int | np.random.Generator,
                        warmup: float | None = None) -> EventSequence:
@@ -86,39 +118,19 @@ def simulate_branching(params: HawkesParams, horizon: float,
     later, so truncation is exact for the observation window).
     """
     warmup = _check_sim_args(params, horizon, warmup)
-    rng = as_generator(seed)
-    start = -warmup
-    span = horizon - start
-
-    n_imm = int(rng.poisson(params.mu * span))
-    imm_times = start + span * rng.random(n_imm)
-    imm_times.sort()
-
-    times_parts = [imm_times]
-    tree_parts = [np.arange(n_imm, dtype=np.int64)]
-    parent_parts = [np.full(n_imm, -1, dtype=np.int64)]
-
-    gen_times = imm_times
-    gen_tree = tree_parts[0]
-    parent_offset = 0
-    total = n_imm
-    while gen_times.size:
-        n_children = rng.poisson(params.alpha, gen_times.size)
-        tot = int(n_children.sum())
-        if tot == 0:
-            break
-        parent_local = np.repeat(np.arange(gen_times.size), n_children)
-        child_times = gen_times[parent_local] + rng.exponential(1.0, tot)
-        keep = child_times <= horizon
-        child_times = child_times[keep]
-        parent_local = parent_local[keep]
-        times_parts.append(child_times)
-        tree_parts.append(gen_tree[parent_local])
-        parent_parts.append(parent_offset + parent_local)
-        parent_offset = total
-        total += child_times.size
-        gen_times = child_times
-        gen_tree = tree_parts[-1]
+    times_parts: list[np.ndarray] = []
+    tree_parts: list[np.ndarray] = []
+    parent_parts: list[np.ndarray] = []
+    total = 0
+    for times, parent in _generations(params, horizon, as_generator(seed), warmup, True):
+        if parent is None:  # immigrants: each roots its own tree
+            tree_parts.append(np.arange(times.size, dtype=np.int64))
+            parent_parts.append(np.full(times.size, -1, dtype=np.int64))
+        else:
+            tree_parts.append(tree_parts[-1][parent])
+            parent_parts.append(total - times_parts[-1].size + parent)
+        times_parts.append(times)
+        total += times.size
 
     times = np.concatenate(times_parts)
     tree = np.concatenate(tree_parts)
@@ -132,3 +144,18 @@ def simulate_branching(params: HawkesParams, horizon: float,
     pg = parent[out_idx]
     out_parent = np.where(pg >= 0, pos[np.maximum(pg, 0)], -1)
     return EventSequence(times[out_idx], horizon, tree[out_idx], out_parent)
+
+
+def branching_counts(params: HawkesParams, horizon: float,
+                     seed: int | np.random.Generator, delta: float,
+                     warmup: float | None = None) -> CountSeries:
+    """bin_events(simulate_branching(params, horizon, seed, warmup), delta),
+    bit for bit, without building the labeled sequence.
+
+    It makes the same draws and bins each generation as it is drawn: no tree
+    labels, no sort, no EventSequence. It refuses the same arguments with the
+    same errors.
+    """
+    warmup = _check_sim_args(params, horizon, warmup)
+    gens = _generations(params, horizon, as_generator(seed), warmup, False)
+    return bin_times((times for times, _ in gens), horizon, delta)

@@ -20,7 +20,7 @@ import pytest
 from scipy import stats as sps
 
 from dphawkes import (ComplexityInputs, HawkesParams, NonConvergence, ParamBounds,
-                      PrivacyBudget, bin_events, c9_constant, estimate,
+                      PrivacyBudget, bin_events, branching_counts, c9_constant, estimate,
                       invert_moments, laplace_samples, mean_sensitivity,
                       required_T_nonprivate, required_T_private, sample_stats,
                       simulate_branching, theoretical_moments, tree_bound,
@@ -313,7 +313,9 @@ def test_criterion_10_complexity_calculators():
     horizon = min(report.required_T, 1e6)
     n_seeds, failures = 200, 0
     for seed in range(n_seeds):
-        series = bin_events(simulate_branching(truth, horizon, 500_000 + seed), delta)
+        # the counts of bin_events(simulate_branching(...)), bit for bit
+        # (tests/test_simulate.py), without the labeled sequence
+        series = branching_counts(truth, horizon, 500_000 + seed, delta)
         try:
             r = estimate(series, bounds)
             if abs(r.alpha_hat - truth.alpha) > xi:

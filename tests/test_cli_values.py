@@ -123,3 +123,21 @@ def test_numeric_flag_values(command, flag, inputs, capsys):
         if not ok:
             wrong.append(f"--{flag}={value!r}: want {want}, got {code} ({how}) {err}")
     assert not wrong, "\n".join(wrong)
+
+
+COMPLEXITY_NONPRIVATE = ("complexity", "--xi", "40", "--delta_prob", "0.05",
+                         "--delta_bin", "30000", "--sigma_sq", "239986", "--eta4", "1.8e11")
+
+
+@pytest.mark.parametrize("flags", [("--epsilon", "nan"), ("--epsilon", "0"), ("--b", "abc"),
+                                   ("--b", "0"), ("--epsilon", "nan", "--b", "abc")])
+def test_complexity_checks_budget_flags_without_private(flags, capsys):
+    code, err, how = _outcome([*COMPLEXITY_NONPRIVATE, *flags], capsys)
+    assert (code, how, len(err)) == (EXIT_CONFIG, "returned", 1), err
+
+
+def test_complexity_refuses_more_eta4_bins_than_a_series_may_hold(capsys):
+    base = COMPLEXITY_NONPRIVATE[:-2]
+    code, err, how = _outcome([*base, "--eta4_bins", "1000000000000000"], capsys)
+    assert (code, how, len(err)) == (EXIT_CONFIG, "returned", 1), err
+    assert "num_bins" in err[0]

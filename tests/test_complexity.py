@@ -9,6 +9,7 @@ from dphawkes import (ComplexityInputs, ConfigError, HawkesParams, ParamBounds,
                       eta4_monte_carlo, inverse_normal_cdf, required_T_mean,
                       required_T_nonprivate, required_T_private)
 from dphawkes.complexity import _solve_t_over_logpow, write_complexity_csv
+from dphawkes.counts import MAX_BINS
 
 BOX_A = ParamBounds(0.5, 2.0, 0.1, 0.75)
 BOX_B = ParamBounds(0.9, 1.1, 0.3, 0.6)
@@ -332,3 +333,11 @@ def test_overflowing_term_or_unsolvable_condition_is_config_error():
 def test_eta4_monte_carlo_refuses_infinite_bins():
     with pytest.raises(ConfigError):
         eta4_monte_carlo(HawkesParams(1.0, 0.5), 10.0, math.inf, seed=1)
+
+
+def test_eta4_monte_carlo_refuses_more_bins_than_a_series_may_hold():
+    # refused before anything is allocated or simulated
+    with pytest.raises(ConfigError, match="num_bins"):
+        eta4_monte_carlo(HawkesParams(1.0, 0.5), 10.0, MAX_BINS + 1, seed=1)
+    with pytest.raises(ConfigError, match="num_bins"):
+        eta4_monte_carlo(HawkesParams(1.0, 0.5), 10.0, 10**15, seed=1)

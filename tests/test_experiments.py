@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from dphawkes import ConfigError
+from dphawkes import ConfigError, bin_events, estimate, simulate_branching
 from dphawkes.config import ExperimentConfig
 from dphawkes.experiments import (BASELINE_B_MODE, read_sweep_csv, run_sweep,
                                   run_time_to_threshold, summarize_sweep,
@@ -48,6 +48,17 @@ def test_sweep_shares_simulation_within_rep():
     for r in records:
         if r.b_mode != BASELINE_B_MODE:
             assert r.mu_hat == pytest.approx(base[r.rep].mu_hat, rel=1e-6)
+
+
+def test_sweep_baselines_equal_estimates_of_the_labeled_sequences():
+    cfg = small_config(epsilons=(1.0,), b_values=("10",))
+    baseline = [r for r in run_sweep(cfg) if r.b_mode == BASELINE_B_MODE]
+    assert [r.rep for r in baseline] == list(range(cfg.repetitions))
+    for r in baseline:
+        want = estimate(bin_events(simulate_branching(cfg.params, cfg.horizon, r.seed),
+                                   cfg.delta), cfg.bounds)
+        assert r.seed == derived_seed(cfg.seed, 0, r.rep)
+        assert (r.mu_hat, r.alpha_hat) == (want.mu_hat, want.alpha_hat)
 
 
 def test_seed_derivation_is_pinned():

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from dphawkes import (HawkesParams, bin_events, default_warmup, sample_stats,
-                      simulate_branching, simulate_thinning, theoretical_moments,
-                      transient_moments, tree_sizes)
+from dphawkes import (HawkesParams, bin_events, branching_counts, default_warmup,
+                      sample_stats, simulate_branching, simulate_thinning,
+                      theoretical_moments, transient_moments, tree_sizes)
 from dphawkes.errors import ConfigError
 from dphawkes.simulate import MAX_EXPECTED_EVENTS
 
@@ -148,3 +148,47 @@ def test_expected_event_count_above_cap_is_refused_before_simulating(simulate):
     # the paper's largest horizon, at the largest rate of its prior box, is admitted
     p_max = HawkesParams(2.0, 0.75)
     assert p_max.stationary_rate * (1e6 + default_warmup(p_max.alpha)) < MAX_EXPECTED_EVENTS
+
+
+# --- counts-only branching sampler --------------------------------------------
+
+# (mu, alpha, horizon, delta): horizons that are and are not multiples of delta
+EQUIVALENCE_CASES = [(1.0, 0.5, 2000.0, 10.0), (0.7, 0.74, 1234.5, 7.3),
+                     (2.0, 0.1, 500.0, 3.0), (0.5, 1e-9, 300.0, 0.7)]
+
+
+@pytest.mark.parametrize("mu,alpha,horizon,delta", EQUIVALENCE_CASES)
+@pytest.mark.parametrize("warmup", [None, 0.0])
+def test_branching_counts_equal_binned_labeled_sequence(mu, alpha, horizon, delta, warmup):
+    p = HawkesParams(mu, alpha)
+    for seed in range(200):
+        want = bin_events(simulate_branching(p, horizon, seed, warmup), delta)
+        got = branching_counts(p, horizon, seed, delta, warmup)
+        np.testing.assert_array_equal(got.counts, want.counts)
+        assert (got.delta, got.horizon) == (want.delta, want.horizon)
+
+
+def test_branching_counts_take_a_generator_as_the_labeled_sampler_does():
+    p = HawkesParams(1.0, 0.5)
+    for seed in range(20):
+        want = bin_events(simulate_branching(p, 1000.0, np.random.default_rng(seed)), 10.0)
+        got = branching_counts(p, 1000.0, np.random.default_rng(seed), 10.0)
+        np.testing.assert_array_equal(got.counts, want.counts)
+
+
+@pytest.mark.parametrize("horizon,delta,warmup,error", [
+    (100.0, 0.0, None, ValueError),  # delta <= 0
+    (100.0, -1.0, None, ValueError),
+    (100.0, 60.0, None, ValueError),  # fewer than 2 bins
+    (MAX_EXPECTED_EVENTS, 10.0, None, ConfigError),  # expected-event cap
+    (0.0, 10.0, None, ConfigError),
+    (100.0, 10.0, -1.0, ConfigError),
+])
+def test_branching_counts_refuse_what_the_labeled_path_refuses(horizon, delta, warmup, error):
+    p = HawkesParams(1.0, 0.5)
+    with pytest.raises(error) as labeled:
+        bin_events(simulate_branching(p, horizon, 1, warmup), delta)
+    with pytest.raises(error) as counts:
+        branching_counts(p, horizon, 1, delta, warmup)
+    assert type(counts.value) is type(labeled.value)
+    assert str(counts.value) == str(labeled.value)
