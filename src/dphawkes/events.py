@@ -1,16 +1,24 @@
 """Event sequences and their CSV serialization."""
 from __future__ import annotations
 
-import csv
+import io
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 CSV_HEADER = ("timestamp", "tree_id", "parent_idx")
 
-# 17 significant digits: shortest formatting that round-trips float64 exactly.
-_FMT = "{:.17g}"
+# 17 significant digits round-trip every float64 exactly.
+_CHILD_ROW = "%.17g,%d,%d\r\n"
+_ROOT_ROW = "%.17g,%d,\r\n"
+_UNLABELED_ROW = "%.17g,,\r\n"
+_BLOCK_ROWS = 1 << 16
+
+# An empty label field is read as -1 (no tree id / no recorded parent).
+_EMPTY_LABEL = ((b",,", b",-1,"), (b",\r\n", b",-1\r\n"), (b",\n", b",-1\n"))
+_ROW_DTYPE = np.dtype([("t", "f8"), ("g", "i8"), ("p", "i8")])
 
 
 @dataclass(frozen=True)
@@ -37,7 +45,7 @@ class EventSequence:
         if not 0 <= self.horizon < math.inf:
             raise ValueError(f"horizon must be nonnegative and finite, got {self.horizon}")
         if ts.size:
-            if ts[0] < 0 or ts[-1] > self.horizon:
+            if not (ts[0] >= 0 and ts[-1] <= self.horizon):  # refuses nan too
                 raise ValueError("timestamps must lie in [0, horizon]")
             if not np.all(np.diff(ts) > 0):
                 raise ValueError("timestamps must be strictly increasing")
@@ -69,49 +77,73 @@ class EventSequence:
 
 
 def write_events_csv(events: EventSequence, path) -> None:
+    """Write the sequence in the events CSV format (see the README), with
+    ``\\r\\n`` line ends and 17 significant digits per timestamp."""
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(CSV_HEADER)
-        if events.labeled:
-            for t, g, p in zip(events.timestamps, events.tree_id, events.parent_idx):
-                w.writerow([_FMT.format(t), int(g), "" if p < 0 else int(p)])
-        else:
-            for t in events.timestamps:
-                w.writerow([_FMT.format(t), "", ""])
+        fh.write(",".join(CSV_HEADER) + "\r\n")
+        # Fixed-size blocks bound the formatted text held in memory.
+        for lo in range(0, len(events), _BLOCK_ROWS):
+            ts = events.timestamps[lo:lo + _BLOCK_ROWS].tolist()
+            if events.labeled:
+                rows = zip(ts, events.tree_id[lo:lo + _BLOCK_ROWS].tolist(),
+                           events.parent_idx[lo:lo + _BLOCK_ROWS].tolist())
+                fh.write("".join([_CHILD_ROW % row if row[2] >= 0 else _ROOT_ROW % row[:2]
+                                  for row in rows]))
+            else:
+                fh.write("".join(map(_UNLABELED_ROW.__mod__, ts)))
 
 
 def read_events_csv(path, horizon: float | None = None) -> EventSequence:
-    """Read a sequence written by write_events_csv.
+    """Read an events CSV (the grammar is in the README).
 
-    When horizon is not given it defaults to the last timestamp.
+    When horizon is not given it defaults to the last timestamp. A refused
+    file raises ValueError naming the path, and the row for a malformed row.
     """
-    ts: list[float] = []
-    tree: list[int] = []
-    parent: list[int] = []
-    any_tree = False
-    with open(path, newline="") as fh:
-        r = csv.reader(fh)
-        header = next(r, None)
-        if header is None or tuple(h.strip() for h in header) != CSV_HEADER:
-            raise ValueError(f"{path}: expected header {','.join(CSV_HEADER)}")
-        for row in r:
-            if not row:
-                continue
-            ts.append(float(row[0]))
-            g = row[1].strip() if len(row) > 1 else ""
-            p = row[2].strip() if len(row) > 2 else ""
-            if g:
-                any_tree = True
-                tree.append(int(g))
-                parent.append(int(p) if p else -1)
-            else:
-                tree.append(-1)
-                parent.append(-1)
-    t_arr = np.asarray(ts, dtype=np.float64)
+    with open(path, "rb") as fh:
+        header, _, body = fh.read().partition(b"\n")
+    if tuple(h.strip() for h in header.decode(errors="replace").split(",")) != CSV_HEADER:
+        raise ValueError(f"{path}: expected header {','.join(CSV_HEADER)}")
+    # In a row of three fields only an empty tree_id sits between two commas.
+    empty_tree_rows = body.count(b",,")
+    for empty, filled in _EMPTY_LABEL:
+        body = body.replace(empty, filled)
+    if body.endswith(b","):
+        body += b"-1"
+    try:
+        rows = load_csv_rows(body, dtype=_ROW_DTYPE)
+    except ValueError as exc:
+        raise _row_error(path, body, exc) from exc
+    ts = rows["t"].copy()
     if horizon is None:
-        horizon = float(t_arr[-1]) if t_arr.size else 0.0
-    if any_tree:
-        return EventSequence(t_arr, horizon,
-                             np.asarray(tree, dtype=np.int64),
-                             np.asarray(parent, dtype=np.int64))
-    return EventSequence(t_arr, horizon)
+        horizon = float(ts[-1]) if ts.size else 0.0
+    try:
+        if empty_tree_rows < ts.size:
+            return EventSequence(ts, horizon, rows["g"].copy(), rows["p"].copy())
+        return EventSequence(ts, horizon)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
+def load_csv_rows(data: bytes, **loadtxt_args) -> np.ndarray:
+    """Comma-separated rows parsed by np.loadtxt, with no comment character;
+    data holding no rows gives an empty array and no warning."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        return np.loadtxt(io.BytesIO(data), delimiter=",", comments=None, ndmin=1,
+                          **loadtxt_args)
+
+
+def _row_error(path, body: bytes, exc: ValueError) -> ValueError:
+    """The first row of body that is refused, numbered as tables.read_table
+    numbers rows; the parser's own message if no row is found at fault."""
+    lines = (line.removesuffix("\r") for line in body.decode(errors="replace").split("\n"))
+    for n, line in enumerate(filter(None, lines), start=1):
+        fields = line.split(",")
+        if len(fields) != len(CSV_HEADER):
+            return ValueError(f"{path}: row {n} has {len(fields)} fields, "
+                              f"expected {len(CSV_HEADER)}")
+        try:
+            float(fields[0]), int(fields[1]), int(fields[2])
+        except ValueError as bad:
+            return ValueError(f"{path}: row {n}: {bad}")
+    return ValueError(f"{path}: {exc}")

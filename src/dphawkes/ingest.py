@@ -7,40 +7,38 @@ import warnings
 import numpy as np
 
 from .errors import ConfigError
-from .events import EventSequence
+from .events import EventSequence, load_csv_rows
 
 
 def ingest_timestamps(path, time_unit_scale: float = 1.0) -> EventSequence:
     """Read one timestamp per row (first CSV field), normalize to start at 0.
 
-    Accepts Unix seconds or plain reals, with an optional single header row.
+    Accepts Unix seconds or plain reals, with an optional single header row;
+    every other non-empty line must start with a finite number (the grammar
+    is in the README).
     Output is sorted, exact duplicates are dropped (first occurrence kept),
     times are shifted so the first event sits at 0 and scaled by
     time_unit_scale; the horizon is the last (scaled) timestamp.
     """
     if not 0 < time_unit_scale < math.inf:
         raise ConfigError(f"time_unit_scale must be positive and finite, got {time_unit_scale}")
-    values: list[float] = []
-    bad: list[int] = []
-    with open(path, newline="") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            field = line.split(",", 1)[0].strip()
-            if not field:
-                continue
-            try:
-                values.append(float(field))
-            except ValueError:
-                if lineno == 1 and not values:
-                    continue  # header row
-                bad.append(lineno)
-    if bad:
-        shown = ", ".join(map(str, bad[:10]))
-        more = "" if len(bad) <= 10 else f" (+{len(bad) - 10} more)"
-        raise ValueError(f"{path}: unparsable timestamp rows at lines {shown}{more}")
-    if not values:
+    with open(path, "rb") as fh:
+        data = fh.read()
+    first, _, rest = data.partition(b"\n")
+    first_line = 1
+    try:
+        float(first.split(b",", 1)[0])
+    except ValueError:  # a header row, or a line 1 to skip anyway
+        data, first_line = rest, 2
+    try:
+        raw = load_csv_rows(data, usecols=0)
+    except ValueError as exc:
+        raise _rows_error(path, data, first_line, str(exc)) from exc
+    if not np.isfinite(raw).all():
+        raise _rows_error(path, data, first_line, "non-finite timestamp")
+    if not raw.size:
         raise ValueError(f"{path}: no timestamps found")
 
-    raw = np.asarray(values, dtype=np.float64)
     if np.any(np.diff(raw) < 0):
         warnings.warn(f"{path}: timestamps were not sorted; sorting", stacklevel=2)
         raw = np.sort(raw, kind="stable")
@@ -52,3 +50,24 @@ def ingest_timestamps(path, time_unit_scale: float = 1.0) -> EventSequence:
         raw = raw[keep]
     scaled = (raw - raw[0]) * time_unit_scale
     return EventSequence(scaled, horizon=float(scaled[-1]))
+
+
+def _rows_error(path, data: bytes, first_line: int, reason: str) -> ValueError:
+    """List the lines whose first field is not a finite number; blank lines are
+    skipped. The given reason if no line is found at fault."""
+    bad = []
+    for lineno, line in enumerate(data.decode(errors="replace").split("\n"), start=first_line):
+        line = line.removesuffix("\r")
+        if not line:
+            continue
+        try:
+            ok = math.isfinite(float(line.split(",", 1)[0]))
+        except ValueError:
+            ok = False
+        if not ok:
+            bad.append(lineno)
+    if not bad:
+        return ValueError(f"{path}: {reason}")
+    shown = ", ".join(map(str, bad[:10]))
+    more = "" if len(bad) <= 10 else f" (+{len(bad) - 10} more)"
+    return ValueError(f"{path}: unparsable or non-finite timestamps at lines {shown}{more}")

@@ -212,6 +212,17 @@ def test_ingest_cli_round_trip(tmp_path):
     np.testing.assert_allclose(seq.timestamps, [0.0, 1.0, 2.0])
 
 
+def test_ingest_refuses_non_finite_rows_naming_the_file(tmp_path, capsys):
+    raw = tmp_path / "raw.csv"
+    out = tmp_path / "events.csv"
+    for rows, lines in (("1\nnan\n3\n7\n", "lines 2"), ("1\n2\ninf\n", "lines 3")):
+        raw.write_text(rows)
+        assert run("ingest", str(raw), "--out", str(out), "--out_dir", str(tmp_path)) == EXIT_IO
+        err = capsys.readouterr().err
+        assert str(raw) in err and lines in err
+    assert not out.exists()
+
+
 def test_bad_flag_value_is_config_error_like_the_file(tmp_path):
     # A flag goes through the same value parser as the --config file.
     cfg = tmp_path / "bad.cfg"

@@ -1,5 +1,11 @@
+import csv
+import hashlib
+import io
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dphawkes import (EventSequence, read_events_csv, simulate_branching,
                       write_events_csv)
@@ -72,7 +78,186 @@ def test_one_immigrant_per_tree_without_warmup():
     assert set(roots.tolist()) == set(present.tolist())
 
 
+def test_rejects_nan_timestamps():
+    for ts in ([np.nan], [0.5, np.nan], [np.nan, 0.5], [0.5, np.nan, 1.0]):
+        with pytest.raises(ValueError):
+            EventSequence(np.array(ts), horizon=2.0)
+
+
 def test_rejects_non_finite_horizon():
     for horizon in (np.inf, np.nan):
         with pytest.raises(ValueError, match="finite"):
             EventSequence(np.array([1.0]), horizon=horizon)
+
+
+# --- the events CSV grammar -------------------------------------------------
+
+HEADER = "timestamp,tree_id,parent_idx"
+
+
+def _read_text(tmp_path, text: str, **kwargs):
+    path = tmp_path / "ev.csv"
+    path.write_bytes(text.encode())
+    return read_events_csv(path, **kwargs)
+
+
+@pytest.mark.parametrize("eol", ["\n", "\r\n"])
+def test_csv_reads_lf_and_crlf_line_ends(tmp_path, eol):
+    labeled = _read_text(tmp_path, eol.join([HEADER, "0.5,0,", "1.25,0,0", "2,1,"]) + eol)
+    np.testing.assert_array_equal(labeled.timestamps, [0.5, 1.25, 2.0])
+    np.testing.assert_array_equal(labeled.tree_id, [0, 0, 1])
+    np.testing.assert_array_equal(labeled.parent_idx, [-1, 0, -1])
+    unlabeled = _read_text(tmp_path, eol.join([HEADER, "0.5,,", "1.25,,"]))  # no final eol
+    assert not unlabeled.labeled
+    np.testing.assert_array_equal(unlabeled.timestamps, [0.5, 1.25])
+
+
+def test_csv_skips_blank_lines(tmp_path):
+    seq = _read_text(tmp_path, f"{HEADER}\n\n0.5,0,\n\n\n1.0,0,0\n\n")
+    np.testing.assert_array_equal(seq.timestamps, [0.5, 1.0])
+    np.testing.assert_array_equal(seq.parent_idx, [-1, 0])
+    seq = _read_text(tmp_path, f"{HEADER}\r\n\r\n0.5,,\r\n\r\n")
+    np.testing.assert_array_equal(seq.timestamps, [0.5])
+
+
+def test_csv_allows_spaces_around_fields_and_in_header(tmp_path):
+    seq = _read_text(tmp_path, " timestamp , tree_id ,parent_idx \n 0.5 , 3 ,\n1.0 ,3, 0 \n")
+    np.testing.assert_array_equal(seq.timestamps, [0.5, 1.0])
+    np.testing.assert_array_equal(seq.tree_id, [3, 3])
+    np.testing.assert_array_equal(seq.parent_idx, [-1, 0])
+    seq = _read_text(tmp_path, f"{HEADER}\n 0.5 ,,\n")
+    assert not seq.labeled and seq.timestamps.tolist() == [0.5]
+
+
+@pytest.mark.parametrize("text", [HEADER, HEADER + "\n", HEADER + "\r\n", HEADER + "\n\n"])
+def test_csv_header_only_is_empty_and_silent(tmp_path, text):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        seq = _read_text(tmp_path, text)
+    assert len(seq) == 0 and seq.horizon == 0.0 and not seq.labeled
+    assert _read_text(tmp_path, text, horizon=5.0).horizon == 5.0
+
+
+@pytest.mark.parametrize("rows", [["0.5,-1,"], ["0.5,-1,", "1.0,-1,"], ["0.5,0,", "1.0,-1,"]])
+def test_csv_refuses_literal_negative_tree_id(tmp_path, rows):
+    with pytest.raises(ValueError, match="tree_id must be nonnegative"):
+        _read_text(tmp_path, "\n".join([HEADER, *rows]) + "\n")
+
+
+@pytest.mark.parametrize("text", [f"{HEADER}\n# a note\n0.5,,\n",
+                                  f"{HEADER}\n0.5,,\n#1.0,,\n",
+                                  f"{HEADER}\n0.5,0,#\n"])
+def test_csv_hash_is_not_a_comment(tmp_path, text):
+    with pytest.raises(ValueError):
+        _read_text(tmp_path, text)
+
+
+@pytest.mark.parametrize("row, fields", [("0.5", 1), ("0.5,0", 2), ("0.5,0,,", 4),
+                                         ("0.5,,,", 4), ("0.5,0,0,7", 4)])
+def test_csv_refuses_rows_without_three_fields(tmp_path, row, fields):
+    text = "\n".join([HEADER, "0.25,0,", "", row, "1.0,0,0"]) + "\n"
+    with pytest.raises(ValueError, match=rf"ev\.csv: row 2 has {fields} fields, expected 3"):
+        _read_text(tmp_path, text)
+
+
+@pytest.mark.parametrize("rows, match", [
+    (["0.5,,", "abc,,"], r"row 2: could not convert string to float: 'abc'"),
+    (["0.5,x,"], r"row 1: invalid literal for int\(\) with base 10: 'x'"),
+    (["0.5,0,0.5"], r"row 1: invalid literal for int\(\) with base 10: '0.5'"),
+    (["0.5,-1,"], "tree_id must be nonnegative"),
+    (["0.5,,", "nan,,"], "finite"),
+    (["0.5,0,", "0.25,0,"], "strictly increasing"),
+])
+def test_csv_refusals_name_the_file(tmp_path, rows, match):
+    with pytest.raises(ValueError, match=rf"^.*ev\.csv: .*{match}"):
+        _read_text(tmp_path, "\n".join([HEADER, *rows]) + "\n")
+
+
+@pytest.mark.parametrize("rows", [["nan,,"], ["0.5,,", "nan,,"], ["nan,0,", "1.0,0,0"]])
+def test_csv_refuses_nan_timestamp_with_a_given_horizon(tmp_path, rows):
+    with pytest.raises(ValueError, match=r"ev\.csv: "):
+        _read_text(tmp_path, "\n".join([HEADER, *rows]) + "\n", horizon=2.0)
+
+
+# --- the bytes written ------------------------------------------------------
+
+EDGE_TIMES = [0.0, 5e-324, 1e-300, 0.1, 0.12345678901234568, 1.0000000000000002,
+              1234.5678901234567, 98765.432109876543, 1e15]
+
+
+def _csv_writer_reference(events) -> bytes:
+    """The file as csv.writer writes it, one row at a time."""
+    buf = io.StringIO(newline="")
+    w = csv.writer(buf)
+    w.writerow(["timestamp", "tree_id", "parent_idx"])
+    if events.labeled:
+        for t, g, p in zip(events.timestamps, events.tree_id, events.parent_idx):
+            w.writerow(["{:.17g}".format(t), int(g), "" if p < 0 else int(p)])
+    else:
+        for t in events.timestamps:
+            w.writerow(["{:.17g}".format(t), "", ""])
+    return buf.getvalue().encode()
+
+
+def test_csv_bytes_match_csv_writer_on_edge_floats(tmp_path):
+    ts = np.array(EDGE_TIMES)
+    tree = np.array([0, 0, 1, 0, 1, 2, 2, 0, 3])
+    parent = np.array([-1, 0, -1, 1, 2, -1, 5, 3, -1])
+    path = tmp_path / "ev.csv"
+    for seq in (EventSequence(ts, 1e15), EventSequence(ts, 1e15, tree, parent)):
+        write_events_csv(seq, path)
+        assert path.read_bytes() == _csv_writer_reference(seq)
+        back = read_events_csv(path, horizon=1e15)
+        assert back.timestamps.tobytes() == ts.tobytes()
+        assert back.labeled == seq.labeled
+    assert _csv_writer_reference(EventSequence(np.array([]), 0.0)) == HEADER.encode() + b"\r\n"
+    write_events_csv(EventSequence(np.array([]), 0.0), path)
+    assert path.read_bytes() == HEADER.encode() + b"\r\n"
+
+
+@st.composite
+def labeled_sequences(draw):
+    times = sorted(set(draw(st.lists(
+        st.floats(0.0, 1e15, allow_nan=False, allow_subnormal=True), max_size=40))))
+    tree, parent = [], []
+    for i in range(len(times)):
+        p = draw(st.integers(-1, i - 1))
+        parent.append(p)
+        tree.append(tree[p] if p >= 0 else draw(st.integers(0, 2**62)))
+    return times, tree, parent
+
+
+@settings(max_examples=150, deadline=None)
+@given(labeled_sequences(), st.booleans())
+def test_csv_round_trip_is_bit_exact(tmp_path_factory, drawn, labeled):
+    times, tree, parent = drawn
+    ts = np.array(times, dtype=np.float64)
+    horizon = times[-1] if times else 0.0
+    seq = (EventSequence(ts, horizon, np.array(tree, dtype=np.int64),
+                         np.array(parent, dtype=np.int64))
+           if labeled else EventSequence(ts, horizon))
+    path = tmp_path_factory.mktemp("rt") / "ev.csv"
+    write_events_csv(seq, path)
+    assert path.read_bytes() == _csv_writer_reference(seq)
+    back = read_events_csv(path)
+    assert back.horizon == horizon
+    assert back.timestamps.tobytes() == ts.tobytes()
+    assert back.labeled == (labeled and len(seq) > 0)
+    if back.labeled:
+        np.testing.assert_array_equal(back.tree_id, seq.tree_id)
+        np.testing.assert_array_equal(back.parent_idx, seq.parent_idx)
+
+
+def test_csv_bytes_at_benchmark_scale_are_pinned(tmp_path):
+    # sha256 of the files written at T = 1.25e5, seed 7 by the row-at-a-time
+    # csv.writer implementation; the format is a contract, so these never move.
+    seq = simulate_branching(HawkesParams(1.0, 0.5), 1.25e5, seed=7)
+    path = tmp_path / "ev.csv"
+    for events, digest in (
+            (seq, "251f0e4c74f8bb0709357f220b6c02521cacbb2d9a34acd45ac249d0c14d1f7d"),
+            (EventSequence(seq.timestamps, seq.horizon),
+             "00ccc0a949ad41987ff4bb8a786dde2010bec7fd6a7a895beb2f8197ab5c93df")):
+        write_events_csv(events, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+        back = read_events_csv(path, horizon=seq.horizon)
+        assert back.timestamps.tobytes() == seq.timestamps.tobytes()

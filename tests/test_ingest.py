@@ -73,3 +73,37 @@ def test_non_finite_scale_is_config_error(tmp_path):
     for scale in (math.inf, math.nan, 0.0):
         with pytest.raises(ConfigError, match="time_unit_scale"):
             ingest_timestamps(path, time_unit_scale=scale)
+
+
+def test_header_only_on_line_one(tmp_path):
+    path = tmp_path / "raw.csv"
+    path.write_text("5\ntimestamp\n8\n")
+    with pytest.raises(ValueError, match=r"raw\.csv.*lines 2$"):
+        ingest_timestamps(path)
+    path.write_text("timestamp\nunit\n8\n")
+    with pytest.raises(ValueError, match=r"lines 2$"):
+        ingest_timestamps(path)
+
+
+def test_extra_columns_may_vary_by_row_and_blank_lines_are_skipped(tmp_path):
+    path = tmp_path / "raw.csv"
+    path.write_bytes(b"time,kind,zone\r\n10,fire\r\n\r\n20\r\n\n 30 ,a,b,c\r\n")
+    seq = ingest_timestamps(path)
+    np.testing.assert_array_equal(seq.timestamps, [0.0, 10.0, 20.0])
+
+
+def test_bad_rows_beyond_ten_are_counted(tmp_path):
+    path = tmp_path / "raw.csv"
+    path.write_text("timestamp\n1\n" + "x\n" * 13 + "2\n")
+    with pytest.raises(ValueError, match=r"lines 3, 4, 5, 6, 7, 8, 9, 10, 11, 12 \(\+3 more\)"):
+        ingest_timestamps(path)
+
+
+@pytest.mark.parametrize("rows, lines", [(["1", "nan", "3", "7"], "2"),
+                                         (["t", "1", "inf", "3", "-inf"], "3, 5"),
+                                         (["NaN", "2"], "1")])
+def test_non_finite_timestamps_refused_with_line_numbers(tmp_path, rows, lines):
+    path = tmp_path / "raw.csv"
+    path.write_text("\n".join(rows) + "\n")
+    with pytest.raises(ValueError, match=rf"raw\.csv: .*non-finite.* lines {lines}$"):
+        ingest_timestamps(path)
