@@ -108,14 +108,22 @@ def cmd_simulate(args) -> int:
 
 def _load_events(args, config: ExperimentConfig):
     """The input events; the horizon is --horizon, else the .meta file's, else
-    the last timestamp."""
-    path = args.input
-    horizon = config.horizon if args.horizon is not None else None
-    if horizon is None and os.path.exists(path + ".meta"):
-        meta = _read_meta(path + ".meta")
-        if "horizon" in meta:
-            horizon = float(meta["horizon"])
-    return read_events_csv(path, horizon=horizon)
+    the last timestamp. A refusal caused by the .meta horizon names that file."""
+    path, meta_path = args.input, args.input + ".meta"
+    if args.horizon is not None:
+        return read_events_csv(path, horizon=config.horizon)
+    raw = _read_meta(meta_path).get("horizon") if os.path.exists(meta_path) else None
+    if raw is None:
+        return read_events_csv(path)
+    try:
+        horizon = float(raw)
+    except ValueError:
+        raise ValueError(f"{meta_path}: horizon={raw} is not a number") from None
+    try:
+        return read_events_csv(path, horizon=horizon)
+    except ValueError as exc:
+        read_events_csv(path)  # a fault of the events file itself is reported as such
+        raise ValueError(f"{meta_path}: horizon={raw} does not fit the events: {exc}") from None
 
 
 def _write_result_csv(path, result: EstimateResult | None, err_mu, err_alpha) -> None:
@@ -162,8 +170,7 @@ def cmd_estimate(args) -> int:
     err_mu = err_alpha = None
     truth_given = "mu" in given and "alpha" in given
     if truth_given:
-        err_mu = abs(result.mu_hat - config.mu) / config.mu
-        err_alpha = abs(result.alpha_hat - config.alpha) / config.alpha
+        err_mu, err_alpha = result.normalized_errors(config.mu, config.alpha)
     print(f"mu_hat={result.mu_hat:.6g} alpha_hat={result.alpha_hat:.6g}"
           + (f"  E_mu={err_mu:.4g} E_alpha={err_alpha:.4g}" if truth_given else ""))
     if result.boundary:

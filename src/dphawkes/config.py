@@ -81,8 +81,12 @@ class ExperimentConfig:
             raise ConfigError("epsilon and B grids must be nonempty")
         for eps in self.epsilons:
             PrivacyBudget(eps / 2.0, self.gamma)
-        for b in self.b_values:
-            check_b_mode(b)
+        caps = [b if b == "auto" else int(b) for b in map(check_b_mode, self.b_values)]
+        # cells are keyed by (epsilon, B): a repeated value would merge two cells
+        if len(set(self.epsilons)) < len(self.epsilons):
+            raise ConfigError(f"epsilons must not repeat a value, got {self.epsilons}")
+        if len(set(caps)) < len(caps):
+            raise ConfigError(f"b_values must not repeat a tree cap, got {self.b_values}")
         self.bounds
         self.delta
 

@@ -37,6 +37,10 @@ class EstimateResult:
     gamma_total: float | None = None
     b_mode: str | None = None
 
+    def normalized_errors(self, mu: float, alpha: float) -> tuple[float, float]:
+        """|hat - truth| / truth for mu and for alpha."""
+        return abs(self.mu_hat - mu) / mu, abs(self.alpha_hat - alpha) / alpha
+
 
 def _variance_at(eta_hat: float, alpha: float, delta: float) -> float:
     mu = eta_hat * (1.0 - alpha) / delta

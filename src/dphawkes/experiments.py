@@ -57,16 +57,30 @@ class SweepRecord:
     wall_ms: float
 
 
-def _norm_errors(result: EstimateResult, truth_mu: float, truth_alpha: float):
-    return (abs(result.mu_hat - truth_mu) / truth_mu,
-            abs(result.alpha_hat - truth_alpha) / truth_alpha)
+def _release(config: ExperimentConfig, series: CountSeries, eps_total: float, b_mode: str,
+             seed: int) -> EstimateResult | None:
+    """The private estimate of one (epsilon, B) cell, or None when it fails."""
+    spec = SensitivitySpec.for_b_mode(config.bounds, config.gamma, b_mode)
+    budget = PrivacyBudget(epsilon=eps_total / 2.0, gamma=config.gamma)
+    try:
+        return private_estimate(series, config.bounds, spec, budget, seed)
+    except (NonConvergence, HorizonTooShort):
+        return None
+
+
+def _record(epsilon: float, b_mode: str, rep: int, seed: int, result: EstimateResult | None,
+            truth: tuple[float, float], wall_ms: float) -> SweepRecord:
+    """A sweep row; a failed estimate (result None) has converged=0 and no values."""
+    if result is None:
+        return SweepRecord(epsilon, b_mode, rep, seed, None, None, None, None, False, wall_ms)
+    return SweepRecord(epsilon, b_mode, rep, seed, result.mu_hat, result.alpha_hat,
+                       *result.normalized_errors(*truth), True, wall_ms)
 
 
 def _sweep_rep(config: ExperimentConfig, rep: int,
                fixed_series: CountSeries | None) -> list[SweepRecord]:
-    """All records for one repetition: the shared series, a baseline row, and
-    one privatized row per (epsilon, b_mode) cell."""
-    records: list[SweepRecord] = []
+    """All records for one repetition: one privatized row per (epsilon, b_mode)
+    cell in grid order, then the baseline row of the shared series."""
     if fixed_series is None:
         sim_seed = derived_seed(config.seed, 0, rep)
         t0 = time.perf_counter()
@@ -81,36 +95,20 @@ def _sweep_rep(config: ExperimentConfig, rep: int,
     base = estimate(series, config.bounds)
     base_ms = (time.perf_counter() - t0) * 1000.0
     if config.dataset is not None:
-        truth_mu, truth_alpha = base.mu_hat, base.alpha_hat
+        truth = (base.mu_hat, base.alpha_hat)
     else:
-        truth_mu, truth_alpha = config.mu, config.alpha
-    err_mu, err_alpha = _norm_errors(base, truth_mu, truth_alpha)
-    records.append(SweepRecord(
-        epsilon=math.inf, b_mode=BASELINE_B_MODE, rep=rep, seed=sim_seed,
-        mu_hat=base.mu_hat, alpha_hat=base.alpha_hat,
-        err_mu=err_mu, err_alpha=err_alpha, converged=True,
-        wall_ms=sim_ms + base_ms))
+        truth = (config.mu, config.alpha)
 
+    records: list[SweepRecord] = []
     for ei, eps_total in enumerate(config.epsilons):
-        budget = PrivacyBudget(epsilon=eps_total / 2.0, gamma=config.gamma)
         for bi, b_mode in enumerate(config.b_values):
             cell_seed = derived_seed(config.seed, 1, rep, ei, bi)
-            spec = SensitivitySpec.for_b_mode(config.bounds, config.gamma, b_mode)
             t0 = time.perf_counter()
-            try:
-                result = private_estimate(series, config.bounds, spec, budget, cell_seed)
-            except (NonConvergence, HorizonTooShort):
-                records.append(SweepRecord(
-                    epsilon=eps_total, b_mode=b_mode, rep=rep, seed=cell_seed,
-                    mu_hat=None, alpha_hat=None, err_mu=None, err_alpha=None,
-                    converged=False, wall_ms=(time.perf_counter() - t0) * 1000.0))
-                continue
-            err_mu, err_alpha = _norm_errors(result, truth_mu, truth_alpha)
-            records.append(SweepRecord(
-                epsilon=eps_total, b_mode=b_mode, rep=rep, seed=cell_seed,
-                mu_hat=result.mu_hat, alpha_hat=result.alpha_hat,
-                err_mu=err_mu, err_alpha=err_alpha, converged=True,
-                wall_ms=(time.perf_counter() - t0) * 1000.0))
+            result = _release(config, series, eps_total, b_mode, cell_seed)
+            records.append(_record(eps_total, b_mode, rep, cell_seed, result, truth,
+                                   (time.perf_counter() - t0) * 1000.0))
+    records.append(_record(math.inf, BASELINE_B_MODE, rep, sim_seed, base, truth,
+                           sim_ms + base_ms))
     return records
 
 
@@ -134,22 +132,8 @@ def run_sweep(config: ExperimentConfig, workers: int = 1) -> list[SweepRecord]:
                                     [fixed_series] * config.repetitions))
     else:
         per_rep = [_sweep_rep(config, rep, fixed_series) for rep in reps]
-
-    by_cell: dict[tuple, SweepRecord] = {}
-    for records in per_rep:
-        for rec in records:
-            key = (rec.epsilon, rec.b_mode, rec.rep)
-            by_cell[key] = rec
-    ordered: list[SweepRecord] = []
-    for eps in config.epsilons:
-        for b_mode in config.b_values:
-            for rep in reps:
-                ordered.append(by_cell[(eps, b_mode, rep)])
-    for rep in reps:
-        key = (math.inf, BASELINE_B_MODE, rep)
-        if key in by_cell:
-            ordered.append(by_cell[key])
-    return ordered
+    # each rep's list is the grid in order with its baseline last
+    return [records[i] for i in range(len(per_rep[0])) for records in per_rep]
 
 
 def summarize_sweep(records: list[SweepRecord]) -> list[dict]:
@@ -223,7 +207,6 @@ def run_time_to_threshold(config: ExperimentConfig, threshold: float,
 
     cells = [(eps, b_mode) for eps in config.epsilons for b_mode in config.b_values]
     resolved: dict[tuple, ThresholdCell] = {}
-    alpha_truth = config.alpha
 
     for pi, horizon in enumerate(probes):
         if len(resolved) == len(cells):
@@ -239,16 +222,11 @@ def run_time_to_threshold(config: ExperimentConfig, threshold: float,
         for eps_total, b_mode in cells:
             if (eps_total, b_mode) in resolved:
                 continue
-            spec = SensitivitySpec.for_b_mode(config.bounds, config.gamma, b_mode)
-            budget = PrivacyBudget(epsilon=eps_total / 2.0, gamma=config.gamma)
             errs = []
             for series, noise_seed in zip(series_per_rep, noise_seeds):
-                try:
-                    result = private_estimate(series, config.bounds, spec, budget,
-                                              noise_seed)
-                    errs.append(abs(result.alpha_hat - alpha_truth) / alpha_truth)
-                except (NonConvergence, HorizonTooShort):
-                    errs.append(math.inf)
+                result = _release(config, series, eps_total, b_mode, noise_seed)
+                errs.append(math.inf if result is None
+                            else result.normalized_errors(config.mu, config.alpha)[1])
             median = float(np.median(errs))
             if median <= threshold:
                 resolved[(eps_total, b_mode)] = ThresholdCell(

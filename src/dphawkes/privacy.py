@@ -4,9 +4,11 @@ Neighboring sequences differ by one tree of events, so the sensitivity of the
 sample statistics is driven by the largest tree: either a known cap B
 (relation-aware) or the probabilistic 3*log(T)/(1-alpha_upper)^2 progeny bound
 (relation-unaware), which requires the horizon threshold checked by
-validate_horizon. Budgets here are per statistic; the released pair composes
-to twice the per-statistic epsilon. private_estimate is the one release path:
-every private estimate in the package goes through it.
+validate_horizon. One formula serves both: relation-unaware is the
+relation-aware mechanism with B = c2*log(T) (SensitivitySpec.tree_cap).
+Budgets here are per statistic; the released pair composes to twice the
+per-statistic epsilon. private_estimate is the one release path: every private
+estimate in the package goes through it.
 """
 from __future__ import annotations
 
@@ -20,9 +22,6 @@ from .errors import ConfigError, HorizonTooShort, NonConvergence
 from .estimator import EstimateResult, invert_moments
 from .hawkes import ParamBounds
 from .rng import as_generator
-
-RELATION_AWARE = "relation_aware"
-RELATION_UNAWARE = "relation_unaware"
 
 
 @dataclass(frozen=True)
@@ -58,13 +57,14 @@ def horizon_threshold(mu_upper: float, gamma: float) -> float:
 
 @dataclass(frozen=True)
 class SensitivitySpec:
-    """Adjacency mode plus the constants derived from the prior box and gamma.
+    """The tree cap plus the constants derived from the prior box and gamma.
 
-    The same user-supplied gamma feeds c1 and the horizon threshold, which is
-    0 in relation-aware mode (no horizon requirement).
+    b is a known cap B (relation-aware) or None (relation-unaware), where the
+    cap is the progeny bound c2*log(T). The same user-supplied gamma feeds c1
+    and the horizon threshold, which is 0 in relation-aware mode (no horizon
+    requirement).
     """
 
-    mode: str
     c1: float
     c2: float
     b: int | None
@@ -75,13 +75,12 @@ class SensitivitySpec:
         # b = 0 is the degenerate identical-sequences case (zero sensitivity)
         if not b >= 0:
             raise ValueError("b must be a nonnegative integer")
-        return cls(mode=RELATION_AWARE, c1=c1_constant(bounds, gamma),
-                   c2=c2_constant(bounds), b=int(b), min_horizon=0.0)
+        return cls(c1=c1_constant(bounds, gamma), c2=c2_constant(bounds), b=int(b),
+                   min_horizon=0.0)
 
     @classmethod
     def relation_unaware(cls, bounds: ParamBounds, gamma: float) -> "SensitivitySpec":
-        return cls(mode=RELATION_UNAWARE, c1=c1_constant(bounds, gamma),
-                   c2=c2_constant(bounds), b=None,
+        return cls(c1=c1_constant(bounds, gamma), c2=c2_constant(bounds), b=None,
                    min_horizon=horizon_threshold(bounds.mu_upper, gamma))
 
     @classmethod
@@ -90,6 +89,10 @@ class SensitivitySpec:
         if b_mode == "auto":
             return cls.relation_unaware(bounds, gamma)
         return cls.relation_aware(bounds, gamma, int(b_mode))
+
+    def tree_cap(self, horizon: float) -> float:
+        """Largest tree a neighbor may differ by: B, or c2*log(T) when B is unknown."""
+        return self.c2 * math.log(horizon) if self.b is None else self.b
 
 
 def tree_bound(alpha_upper: float, horizon: float) -> float:
@@ -104,9 +107,7 @@ def validate_horizon(mu_upper: float, gamma: float, horizon: float) -> bool:
 def mean_sensitivity(spec: SensitivitySpec, k: int, horizon: float) -> float:
     if k < 2:
         raise ValueError("k must be at least 2")
-    if spec.mode == RELATION_AWARE:
-        return spec.b / k
-    return spec.c2 * math.log(horizon) / k
+    return spec.tree_cap(horizon) / k
 
 
 def variance_sensitivity(spec: SensitivitySpec, k: int, delta: float, horizon: float) -> float:
@@ -114,13 +115,8 @@ def variance_sensitivity(spec: SensitivitySpec, k: int, delta: float, horizon: f
         raise ValueError("k must be at least 2")
     if not delta > 0:
         raise ValueError("delta must be positive")
-    if spec.mode == RELATION_AWARE:
-        b = spec.b
-        return b**2 / k + 2.0 * b**1.5 * math.sqrt(delta) * spec.c1 / (k - 1)
-    log_t = math.log(horizon)
-    numerator = (spec.c2**2 * log_t**2
-                 + 2.0 * spec.c2**1.5 * spec.c1 * (k / (k - 1)) * log_t**1.5 * math.sqrt(delta))
-    return numerator / k
+    cap = spec.tree_cap(horizon)
+    return cap**2 / k + 2.0 * cap**1.5 * math.sqrt(delta) * spec.c1 / (k - 1)
 
 
 def laplace_sample(scale: float, rng: int | np.random.Generator) -> float:
@@ -190,7 +186,7 @@ def private_estimate(series: CountSeries, bounds: ParamBounds, spec: Sensitivity
     if not priv.eta_hat > 0:
         raise NonConvergence(f"privatized mean {priv.eta_hat:.6g} is nonpositive")
     result = invert_moments(priv.eta_hat, priv.sigma_sq_hat, series.delta, bounds)
-    aware = spec.mode == RELATION_AWARE
+    aware = spec.b is not None
     return replace(result, epsilon_total=2.0 * budget.epsilon,
                    gamma_total=budget.gamma if aware else 2.0 * budget.gamma,
                    b_mode=str(spec.b) if aware else "auto")

@@ -162,6 +162,16 @@ def test_sweep_cli_and_all_failed(tmp_path):
     assert code == EXIT_ALL_FAILED
 
 
+@pytest.mark.parametrize("flag, value", [("--epsilons", "10,10"), ("--b_values", "10,010")])
+def test_repeated_grid_value_is_config_error(tmp_path, capsys, flag, value):
+    code = run("sweep", "--mu", "1", "--alpha", "0.5", "--horizon", "20000",
+               "--repetitions", "2", "--epsilons", "1,10", "--b_values", "10",
+               "--seed", "3", "--delta_mode", "10", flag, value, "--out_dir", str(tmp_path))
+    assert code == EXIT_CONFIG
+    assert "must not repeat" in capsys.readouterr().err
+    assert not (tmp_path / "sweep.csv").exists()
+
+
 def test_time_to_threshold_cli(tmp_path):
     code = run("time-to-threshold", "--mu", "1", "--alpha", "0.5",
                "--repetitions", "2", "--epsilons", "5", "--b_values", "10",
@@ -319,3 +329,29 @@ def test_empty_events_file_names_the_file(tmp_path, capsys):
     assert run("tree-stats", str(path), "--out_dir", str(tmp_path)) == EXIT_OK
     assert capsys.readouterr().out.startswith("0 trees")
 
+
+@pytest.mark.parametrize("horizon, reason", [
+    ("abc", "horizon=abc is not a number"),
+    ("10", "horizon=10 does not fit the events"),
+    ("nan", "horizon=nan does not fit the events"),
+])
+def test_meta_horizon_refusals_name_the_meta_file(tmp_path, capsys, horizon, reason):
+    events = tmp_path / "ev.csv"
+    run("simulate", "--mu", "1", "--alpha", "0.5", "--horizon", "100",
+        "--seed", "1", "--out_dir", str(tmp_path), "--out", str(events))
+    meta = tmp_path / "ev.csv.meta"
+    meta.write_text(f"horizon={horizon}\n")
+    capsys.readouterr()
+    for command in ("estimate", "tree-stats"):
+        assert run(command, str(events), "--out_dir", str(tmp_path)) == EXIT_IO
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and f"{meta}: {reason}" in err[0]
+
+
+def test_events_file_fault_is_not_blamed_on_the_meta_file(tmp_path, capsys):
+    events = tmp_path / "ev.csv"
+    events.write_text("timestamp,tree_id,parent_idx\n2,,\n1,,\n")
+    (tmp_path / "ev.csv.meta").write_text("horizon=10\n")
+    assert run("estimate", str(events), "--out_dir", str(tmp_path)) == EXIT_IO
+    err = capsys.readouterr().err
+    assert f"{events}: timestamps must be strictly increasing" in err and ".meta" not in err

@@ -55,6 +55,11 @@ def test_quantile_matches_high_precision_oracle():
         assert abs(inverse_normal_cdf(float(p)) - sps.norm.ppf(p)) < 1e-9
 
 
+@pytest.mark.parametrize("p", [1e-300, 5e-324, 1.0 - 2.0**-53])
+def test_quantile_matches_oracle_in_the_far_tail(p):
+    assert abs(inverse_normal_cdf(p) - sps.norm.ppf(p)) < 1e-12
+
+
 @pytest.mark.parametrize("x", [0.01, 0.2, 0.4])
 def test_quantile_symmetry(x):
     assert inverse_normal_cdf(1.0 - x) == pytest.approx(-inverse_normal_cdf(x), rel=1e-12)
@@ -64,6 +69,12 @@ def test_quantile_domain():
     for p in (0.0, 1.0, -0.2, 1.3):
         with pytest.raises(ValueError):
             inverse_normal_cdf(p)
+
+
+def test_quantile_refuses_nan():
+    # statistics.NormalDist.inv_cdf returns nan for nan; the domain check must not
+    with pytest.raises(ValueError):
+        inverse_normal_cdf(math.nan)
 
 
 # --- constants -------------------------------------------------------------

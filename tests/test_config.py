@@ -114,3 +114,14 @@ def test_config_refuses_values_no_other_type_owns(kwargs):
     with pytest.raises(ConfigError):
         ExperimentConfig(**kwargs)
 
+
+@pytest.mark.parametrize("kwargs", [
+    dict(epsilons=(10.0, 10.0)), dict(epsilons=(1.0, 10.0, 1.0)),
+    dict(b_values=("10", "10")), dict(b_values=("10", "010")),
+    dict(b_values=("auto", "25", "auto")),
+], ids=["eps", "eps_apart", "b", "b_leading_zero", "auto"])
+def test_config_refuses_a_repeated_grid_value(kwargs):
+    # the sweep summary and the time-to-threshold search key cells by
+    # (epsilon, B), so a repeated value would merge two cells into one
+    with pytest.raises(ConfigError, match="must not repeat"):
+        ExperimentConfig(**kwargs)

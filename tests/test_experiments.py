@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -172,3 +173,29 @@ def test_threshold_search_refuses_infinite_t_max():
     # t *= 2 reaches inf and inf <= inf would append probes without end
     with pytest.raises(ConfigError, match="t_max"):
         run_time_to_threshold(small_config(), threshold=0.1, t_min=5000.0, t_max=math.inf)
+
+
+def test_sweep_and_threshold_outputs_are_pinned(tmp_path):
+    # gamma = 0.5 and mu_upper = 0.6 put the relation-unaware threshold near
+    # T = 234, so 'auto' cells converge and the hashes pin both sensitivity
+    # modes, the sweep rows (wall_ms aside), the summary and the search
+    from dphawkes.experiments import write_summary_csv, write_threshold_csv
+    cfg = ExperimentConfig(mu=0.5, alpha=0.5, mu_lower=0.3, mu_upper=0.6, gamma=0.5,
+                           horizon=20000.0, repetitions=6, epsilons=(1.0, 10.0, 50.0),
+                           b_values=("10", "auto"), delta_mode="10", seed=3)
+    records = run_sweep(cfg)
+    assert sum(r.converged for r in records if r.b_mode == "auto") == 11
+    write_sweep_csv([dataclasses.replace(r, wall_ms=0.0) for r in records],
+                    tmp_path / "sweep.csv")
+    write_summary_csv(summarize_sweep(records), tmp_path / "sweep_summary.csv")
+    cells = run_time_to_threshold(cfg, threshold=0.3, t_min=2500.0, t_max=80000.0)
+    assert [c.required_t for c in cells if c.b_mode == "auto"] == [None, 40000.0, 5000.0]
+    write_threshold_csv(cells, tmp_path / "time_to_threshold.csv")
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in ("sweep.csv", "sweep_summary.csv", "time_to_threshold.csv")}
+    assert digests == {
+        "sweep.csv": "ff383daf22921db72576b9478cd205782ff9d06afd3bcf4ee654cfa3cffc983e",
+        "sweep_summary.csv": "3374543c3ae28b35946cf9c36782ad4d765448dee263ab12f36e1695ff72976e",
+        "time_to_threshold.csv":
+            "bbd2db90417908b20ffbd773f49879b307eee9aa4ca093adf0af57c902adb076",
+    }

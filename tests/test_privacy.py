@@ -314,3 +314,26 @@ def test_privatize_refuses_non_finite_noise_scale_before_drawing(spec, epsilon):
 def test_relation_unaware_threshold_past_float_range_is_infinite():
     spec = SensitivitySpec.relation_unaware(ParamBounds(0.5, 1e300, 0.1, 0.75), GAMMA)
     assert spec.min_horizon == math.inf
+
+
+def test_tree_cap_is_b_or_the_progeny_bound():
+    assert spec_aware(25).tree_cap(1e5) == 25
+    assert spec_unaware().tree_cap(1e5) == 48.0 * math.log(1e5)
+
+
+@pytest.mark.parametrize("k, delta, horizon", [(2, 10.0, 1e5), (10000, 10.0, 1e5),
+                                               (333, 0.7, 2e6), (99999, 25.0, 1e9)])
+def test_one_sensitivity_formula_keeps_both_modes(k, delta, horizon):
+    # the per-mode formulas the shared one replaced
+    c1, c2 = spec_unaware().c1, spec_unaware().c2
+    for b in (0, 1, 10, 25, 100, 2**53):
+        assert mean_sensitivity(spec_aware(b), k, horizon) == b / k
+        assert variance_sensitivity(spec_aware(b), k, delta, horizon) == (
+            b**2 / k + 2.0 * b**1.5 * math.sqrt(delta) * c1 / (k - 1))
+    log_t = math.log(horizon)
+    assert mean_sensitivity(spec_unaware(), k, horizon) == c2 * log_t / k
+    unaware = (c2**2 * log_t**2
+               + 2.0 * c2**1.5 * c1 * (k / (k - 1)) * log_t**1.5 * math.sqrt(delta)) / k
+    # equal in exact arithmetic; the rounding may differ by a few ulps
+    assert variance_sensitivity(spec_unaware(), k, delta, horizon) == pytest.approx(
+        unaware, rel=2e-15)
