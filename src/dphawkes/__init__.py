@@ -13,7 +13,7 @@ from .hawkes import (HawkesParams, ParamBounds, TheoreticalMoments, intensity_at
                      theoretical_moments, transient_moments)
 from .ingest import ingest_timestamps
 from .privacy import (PrivacyBudget, SensitivitySpec, laplace_sample, laplace_samples,
-                      mean_sensitivity, privatize_stats, private_estimate, tree_bound,
+                      mean_sensitivity, privatize_stats, private_estimate,
                       validate_horizon, variance_sensitivity)
 from .simulate import (branching_counts, default_warmup, simulate_branching,
                        simulate_thinning)
@@ -32,7 +32,7 @@ __all__ = [
     "theoretical_moments", "transient_moments",
     "ingest_timestamps",
     "PrivacyBudget", "SensitivitySpec", "laplace_sample", "laplace_samples",
-    "mean_sensitivity", "privatize_stats", "private_estimate", "tree_bound",
+    "mean_sensitivity", "privatize_stats", "private_estimate",
     "validate_horizon", "variance_sensitivity",
     "branching_counts", "default_warmup", "simulate_branching", "simulate_thinning",
 ]

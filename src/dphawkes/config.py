@@ -42,11 +42,12 @@ def delta_from_rule(delta_mode: str, horizon: float) -> float:
 
 
 def check_b_mode(b: str) -> str:
-    """A tree cap B as given by the user: 'auto' or a positive integer a float
-    holds exactly (at most 2**53, 16 digits)."""
+    """The label of a tree cap B as given by the user: 'auto', or a positive
+    integer a float holds exactly (at most 2**53, 16 digits) written as
+    str(int(b)), so '010' is labelled '10'."""
     if b != "auto" and not (b.isdecimal() and len(b) <= 16 and 1 <= int(b) <= 2**53):
         raise ConfigError(f"B must be a positive integer up to 2**53 or 'auto', got {b!r}")
-    return b
+    return b if b == "auto" else str(int(b))
 
 
 @dataclass(frozen=True)
@@ -81,11 +82,11 @@ class ExperimentConfig:
             raise ConfigError("epsilon and B grids must be nonempty")
         for eps in self.epsilons:
             PrivacyBudget(eps / 2.0, self.gamma)
-        caps = [b if b == "auto" else int(b) for b in map(check_b_mode, self.b_values)]
+        object.__setattr__(self, "b_values", tuple(map(check_b_mode, self.b_values)))
         # cells are keyed by (epsilon, B): a repeated value would merge two cells
         if len(set(self.epsilons)) < len(self.epsilons):
             raise ConfigError(f"epsilons must not repeat a value, got {self.epsilons}")
-        if len(set(caps)) < len(caps):
+        if len(set(self.b_values)) < len(self.b_values):
             raise ConfigError(f"b_values must not repeat a tree cap, got {self.b_values}")
         self.bounds
         self.delta

@@ -83,13 +83,10 @@ def _sweep_rep(config: ExperimentConfig, rep: int,
     cell in grid order, then the baseline row of the shared series."""
     if fixed_series is None:
         sim_seed = derived_seed(config.seed, 0, rep)
-        t0 = time.perf_counter()
         series = branching_counts(config.params, config.horizon, sim_seed, config.delta)
-        sim_ms = (time.perf_counter() - t0) * 1000.0
     else:
         sim_seed = derived_seed(config.seed, 0, 0)
         series = fixed_series
-        sim_ms = 0.0
 
     t0 = time.perf_counter()
     base = estimate(series, config.bounds)
@@ -107,8 +104,7 @@ def _sweep_rep(config: ExperimentConfig, rep: int,
             result = _release(config, series, eps_total, b_mode, cell_seed)
             records.append(_record(eps_total, b_mode, rep, cell_seed, result, truth,
                                    (time.perf_counter() - t0) * 1000.0))
-    records.append(_record(math.inf, BASELINE_B_MODE, rep, sim_seed, base, truth,
-                           sim_ms + base_ms))
+    records.append(_record(math.inf, BASELINE_B_MODE, rep, sim_seed, base, truth, base_ms))
     return records
 
 
@@ -143,32 +139,18 @@ def summarize_sweep(records: list[SweepRecord]) -> list[dict]:
     near the non-convergence regime. Failed cells are excluded from the
     statistics and reported through n_converged.
     """
-    groups: dict[tuple, list[SweepRecord]] = {}
-    order: list[tuple] = []
+    groups: dict[tuple, list[SweepRecord]] = {}  # in first-seen order
     for rec in records:
-        key = (rec.epsilon, rec.b_mode)
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(rec)
+        groups.setdefault((rec.epsilon, rec.b_mode), []).append(rec)
     rows = []
-    for key in order:
-        recs = groups[key]
+    for (epsilon, b_mode), recs in groups.items():
         ok = [r for r in recs if r.converged]
-        row = {"epsilon": key[0], "b_mode": key[1], "n": len(recs),
-               "n_converged": len(ok)}
-        if ok:
-            for name in ("err_mu", "err_alpha"):
-                vals = np.array([getattr(r, name) for r in ok])
-                lo, hi = np.percentile(vals, [2.5, 97.5])
-                row[f"mean_{name}"] = float(vals.mean())
-                row[f"{name}_p2_5"] = float(lo)
-                row[f"{name}_p97_5"] = float(hi)
-        else:
-            for name in ("err_mu", "err_alpha"):
-                row[f"mean_{name}"] = None
-                row[f"{name}_p2_5"] = None
-                row[f"{name}_p97_5"] = None
+        row = {"epsilon": epsilon, "b_mode": b_mode, "n": len(recs), "n_converged": len(ok)}
+        for name in ("err_mu", "err_alpha"):
+            vals = np.array([getattr(r, name) for r in ok])
+            row[f"mean_{name}"], row[f"{name}_p2_5"], row[f"{name}_p97_5"] = (
+                (float(vals.mean()), *map(float, np.percentile(vals, [2.5, 97.5])))
+                if ok else (None, None, None))
         rows.append(row)
     return rows
 

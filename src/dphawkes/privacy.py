@@ -95,11 +95,6 @@ class SensitivitySpec:
         return self.c2 * math.log(horizon) if self.b is None else self.b
 
 
-def tree_bound(alpha_upper: float, horizon: float) -> float:
-    """Largest-progeny cap 3*log(T)/(1-alpha)^2; valid past validate_horizon."""
-    return 3.0 * math.log(horizon) / (1.0 - alpha_upper) ** 2
-
-
 def validate_horizon(mu_upper: float, gamma: float, horizon: float) -> bool:
     return horizon >= horizon_threshold(mu_upper, gamma)
 

@@ -26,26 +26,3 @@ def as_generator(seed: int | np.random.Generator) -> np.random.Generator:
     if hasattr(seed, "random"):  # Generator or any stand-in exposing .random()
         return seed
     return np.random.default_rng(int(seed))
-
-
-class UniformBuffer:
-    """Block-buffered uniform draws from a numpy Generator.
-
-    Sequential samplers (thinning) consume uniforms one at a time; per-call
-    Generator overhead dominates there, so draws are refilled in blocks while
-    keeping the stream a pure function of the seed.
-    """
-
-    def __init__(self, rng: np.random.Generator, block: int = 1 << 14):
-        self._rng = rng
-        self._block = block
-        self._buf = rng.random(block)
-        self._pos = 0
-
-    def next(self) -> float:
-        if self._pos == self._block:
-            self._buf = self._rng.random(self._block)
-            self._pos = 0
-        u = self._buf[self._pos]
-        self._pos += 1
-        return u

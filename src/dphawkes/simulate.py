@@ -20,11 +20,15 @@ from .counts import CountSeries, bin_times
 from .errors import ConfigError
 from .events import EventSequence
 from .hawkes import HawkesParams
-from .rng import UniformBuffer, as_generator
+from .rng import as_generator
 
 # Largest expected event count (warmup included) a simulation may produce: a
 # run peaks at about 150 bytes per event, so 2e7 events take about 3 GB.
 MAX_EXPECTED_EVENTS = 2e7
+
+# Uniforms thinning draws per Generator call. Each candidate takes a (gap,
+# accept) pair, and the size is even, so a pair never straddles two blocks.
+UNIFORM_BLOCK = 1 << 14
 
 
 def default_warmup(alpha: float) -> float:
@@ -52,29 +56,31 @@ def simulate_thinning(params: HawkesParams, horizon: float,
     """Thinning against the running intensity; unlabeled output.
 
     The excitation state is decayed exactly between candidate points, so each
-    step costs O(1) instead of a full history sum.
+    step costs O(1) instead of a full history sum. Uniforms come in blocks of
+    UNIFORM_BLOCK, walked as Python floats in (gap, accept) pairs; the last
+    candidate takes only its gap.
     """
     warmup = _check_sim_args(params, horizon, warmup)
     rng = as_generator(seed)
-    buf = UniformBuffer(rng)
     mu, alpha = params.mu, params.alpha
 
     out: list[float] = []
     t = -warmup
     s = 0.0  # sum of alpha * exp(-(t - t_i)) over accepted events
     while True:
-        lam_bar = mu + s
-        gap = -math.log(1.0 - buf.next()) / lam_bar
-        t_new = t + gap
-        if t_new > horizon:
-            break
-        s *= math.exp(-gap)
-        if buf.next() * lam_bar <= mu + s:
-            if t_new >= 0.0:
-                out.append(t_new)
-            s += alpha
-        t = t_new
-    return EventSequence(np.asarray(out, dtype=np.float64), horizon)
+        pairs = iter(rng.random(UNIFORM_BLOCK).tolist())
+        for u_gap, u_accept in zip(pairs, pairs):
+            lam_bar = mu + s
+            gap = -math.log(1.0 - u_gap) / lam_bar
+            t_new = t + gap
+            if t_new > horizon:
+                return EventSequence(np.asarray(out, dtype=np.float64), horizon)
+            s *= math.exp(-gap)
+            if u_accept * lam_bar <= mu + s:
+                if t_new >= 0.0:
+                    out.append(t_new)
+                s += alpha
+            t = t_new
 
 
 def _generations(params: HawkesParams, horizon: float, rng: np.random.Generator,

@@ -23,8 +23,8 @@ from dphawkes import (ComplexityInputs, HawkesParams, NonConvergence, ParamBound
                       PrivacyBudget, bin_events, branching_counts, c9_constant, estimate,
                       invert_moments, laplace_samples, mean_sensitivity,
                       required_T_nonprivate, required_T_private, sample_stats,
-                      simulate_branching, theoretical_moments, tree_bound,
-                      tree_sizes, validate_horizon, variance_sensitivity)
+                      simulate_branching, theoretical_moments, tree_sizes,
+                      validate_horizon, variance_sensitivity)
 from dphawkes.config import ExperimentConfig
 from dphawkes.experiments import run_sweep, run_time_to_threshold, summarize_sweep
 from dphawkes.privacy import SensitivitySpec
@@ -54,8 +54,8 @@ def moment_series_stats():
         means = np.empty(n_series)
         variances = np.empty(n_series)
         for i in range(n_series):
-            seq = simulate_branching(p, k * delta, seed=100_000 + 1000 * ci + i)
-            stats = sample_stats(bin_events(seq, delta))
+            # bit-identical to binning simulate_branching (tests/test_simulate.py)
+            stats = sample_stats(branching_counts(p, k * delta, 100_000 + 1000 * ci + i, delta))
             means[i] = stats.eta_hat
             variances[i] = stats.sigma_sq_hat
         out[(mu, alpha, delta)] = (means, variances)
@@ -194,7 +194,8 @@ def test_criterion_07_lemma2_containment():
     mu, alpha = 1.0, 0.5
     horizon = 270000.0
     assert validate_horizon(mu, GAMMA, horizon)
-    cap = tree_bound(alpha, horizon)
+    spec = SensitivitySpec.relation_unaware(ParamBounds(mu, mu, alpha, alpha), GAMMA)
+    cap = spec.tree_cap(horizon)
     n_runs = 500
     exceed = 0
     for i in range(n_runs):

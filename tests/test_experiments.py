@@ -1,11 +1,13 @@
 import dataclasses
 import hashlib
 import math
+import time
 
 import numpy as np
 import pytest
 
 from dphawkes import ConfigError, bin_events, estimate, simulate_branching
+from dphawkes import experiments
 from dphawkes.config import ExperimentConfig
 from dphawkes.experiments import (BASELINE_B_MODE, read_sweep_csv, run_sweep,
                                   run_time_to_threshold, summarize_sweep,
@@ -199,3 +201,31 @@ def test_sweep_and_threshold_outputs_are_pinned(tmp_path):
         "time_to_threshold.csv":
             "bbd2db90417908b20ffbd773f49879b307eee9aa4ca093adf0af57c902adb076",
     }
+
+
+def test_sweep_and_threshold_label_b_by_its_integer(tmp_path):
+    # privatize --b 010 labels its row 10; the grid outputs must agree
+    from dphawkes.experiments import write_threshold_csv
+    cfg = small_config(repetitions=1, epsilons=(10.0,), b_values=("010", "auto"))
+    assert cfg.b_values == ("10", "auto")
+    write_sweep_csv(run_sweep(cfg), tmp_path / "sweep.csv")
+    cells = run_time_to_threshold(cfg, threshold=math.inf, t_min=5000.0, t_max=5000.0)
+    write_threshold_csv(cells, tmp_path / "time_to_threshold.csv")
+    for name in ("sweep.csv", "time_to_threshold.csv"):
+        lines = (tmp_path / name).read_text().splitlines()[1:]
+        labels = [line.split(",")[1] for line in lines]
+        assert set(labels) - {BASELINE_B_MODE} == {"10", "auto"}, (name, labels)
+
+
+def test_baseline_wall_ms_excludes_simulate_time(monkeypatch):
+    # a baseline row times the estimate only, as a private row times its release
+    simulate = experiments.branching_counts
+
+    def slow_simulate(*args, **kwargs):
+        time.sleep(0.3)
+        return simulate(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "branching_counts", slow_simulate)
+    records = run_sweep(small_config(repetitions=1, epsilons=(1.0,), b_values=("10",)))
+    baseline = [r for r in records if r.b_mode == BASELINE_B_MODE]
+    assert len(baseline) == 1 and baseline[0].wall_ms < 300.0

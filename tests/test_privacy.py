@@ -7,7 +7,7 @@ from dphawkes import (HawkesParams, HorizonTooShort, ParamBounds, PrivacyBudget,
                       SampleStats, SensitivitySpec, bin_events, estimate,
                       laplace_sample, laplace_samples, mean_sensitivity,
                       privatize_stats, private_estimate, sample_stats,
-                      simulate_branching, tree_bound, tree_sizes, validate_horizon,
+                      simulate_branching, tree_sizes, validate_horizon,
                       variance_sensitivity)
 from dphawkes import ConfigError, NonConvergence
 
@@ -41,10 +41,13 @@ def test_constants_exact_construction():
 
 
 def test_tree_bound_examples():
-    assert tree_bound(0.5, 100000.0) == pytest.approx(3 * math.log(1e5) / 0.25, rel=1e-12)
-    assert tree_bound(0.5, 100000.0) == pytest.approx(138.155, abs=5e-3)
-    assert tree_bound(1e-12, math.e) == pytest.approx(3.0, rel=1e-9)
-    assert tree_bound(0.75, 100000.0) == pytest.approx(552.62, abs=5e-2)
+    def tree_cap(alpha_upper, horizon):  # the relation-unaware progeny bound
+        bounds = ParamBounds(1.0, 1.0, alpha_upper, alpha_upper)
+        return SensitivitySpec.relation_unaware(bounds, GAMMA).tree_cap(horizon)
+    assert tree_cap(0.5, 100000.0) == pytest.approx(3 * math.log(1e5) / 0.25, rel=1e-12)
+    assert tree_cap(0.5, 100000.0) == pytest.approx(138.155, abs=5e-3)
+    assert tree_cap(1e-12, math.e) == pytest.approx(3.0, rel=1e-9)
+    assert tree_cap(0.75, 100000.0) == pytest.approx(552.62, abs=5e-2)
 
 
 def test_validate_horizon_examples():

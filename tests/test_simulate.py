@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -44,6 +45,20 @@ def test_thinning_stationary_rate():
     sd = math.sqrt(p.mu / (1 - p.alpha) ** 3 / t)
     assert abs(len(seq) / t - p.stationary_rate) < 4 * sd
     assert seq.timestamps[0] >= 0 and seq.timestamps[-1] <= t
+
+
+@pytest.mark.parametrize("mu,alpha,horizon,seed,n,digest", [
+    (1.0, 0.5, 3000.0, 11, 6058,
+     "195e4a6e2fd39c95915159fb5b0d5a8337acdb61113a8099aa786c0a11554835"),
+    (0.3, 0.95, 2000.0, 12, 15933,  # its candidates span more than one uniform block
+     "7dcff110de96b276c5e5911dd140948079225287153f0fdd023f3b51991fffa8"),
+    (5.0, 0.1, 500.0, 13, 2789,
+     "54b82d5aece1853d7b51a7ca31ef0933602f1c02068b4a0b3f6125c426cd35fb"),
+])
+def test_thinning_timestamps_are_pinned(mu, alpha, horizon, seed, n, digest):
+    seq = simulate_thinning(HawkesParams(mu, alpha), horizon, seed)
+    assert len(seq) == n
+    assert hashlib.sha256(seq.timestamps.tobytes()).hexdigest() == digest
 
 
 def test_thinning_poisson_limit():
