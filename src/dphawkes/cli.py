@@ -253,7 +253,10 @@ def cmd_complexity(args) -> int:
 def cmd_tree_stats(args) -> int:
     config, _ = _config_from_args(args)
     events = _load_events(args, config)
-    stats = tree_sizes(events)
+    try:
+        stats = tree_sizes(events)
+    except ValueError as exc:
+        raise ValueError(f"{args.input}: {exc}") from None
     out = args.out or os.path.join(_ensure_out_dir(config), "tree_stats.csv")
     write_tree_csv(stats, out)
     mean_size = float(stats.sizes.mean()) if stats.num_trees else float("nan")

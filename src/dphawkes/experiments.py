@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -187,42 +187,29 @@ def run_time_to_threshold(config: ExperimentConfig, threshold: float,
     if probes[-1] < t_max:
         probes.append(t_max)
 
-    cells = [(eps, b_mode) for eps in config.epsilons for b_mode in config.b_values]
-    resolved: dict[tuple, ThresholdCell] = {}
-
+    cells = {(eps, b_mode): ThresholdCell(epsilon=eps, b_mode=b_mode, required_t=None,
+                                          capped=True, median_err_alpha=None)
+             for eps in config.epsilons for b_mode in config.b_values}
     for pi, horizon in enumerate(probes):
-        if len(resolved) == len(cells):
+        pending = [cell for cell in cells.values() if cell.capped]
+        if not pending:
             break
         delta = delta_from_rule(config.delta_mode, horizon)
-        series_per_rep = [
-            branching_counts(config.params, horizon, derived_seed(config.seed, 3, pi, rep),
-                             delta)
-            for rep in range(config.repetitions)]
-        # One int seed per rep: every cell redraws the same two noise uniforms.
-        noise_seeds = [derived_seed(config.seed, 4, pi, rep)
-                       for rep in range(config.repetitions)]
-        for eps_total, b_mode in cells:
-            if (eps_total, b_mode) in resolved:
-                continue
+        # One int noise seed per rep: every cell redraws the same two noise uniforms.
+        reps = [(branching_counts(config.params, horizon, derived_seed(config.seed, 3, pi, rep),
+                                  delta), derived_seed(config.seed, 4, pi, rep))
+                for rep in range(config.repetitions)]
+        for cell in pending:
             errs = []
-            for series, noise_seed in zip(series_per_rep, noise_seeds):
-                result = _release(config, series, eps_total, b_mode, noise_seed)
+            for series, noise_seed in reps:
+                result = _release(config, series, cell.epsilon, cell.b_mode, noise_seed)
                 errs.append(math.inf if result is None
                             else result.normalized_errors(config.mu, config.alpha)[1])
             median = float(np.median(errs))
             if median <= threshold:
-                resolved[(eps_total, b_mode)] = ThresholdCell(
-                    epsilon=eps_total, b_mode=b_mode, required_t=horizon,
-                    capped=False, median_err_alpha=median)
-
-    out = []
-    for eps_total, b_mode in cells:
-        cell = resolved.get((eps_total, b_mode))
-        if cell is None:
-            cell = ThresholdCell(epsilon=eps_total, b_mode=b_mode,
-                                 required_t=None, capped=True, median_err_alpha=None)
-        out.append(cell)
-    return out
+                cells[cell.epsilon, cell.b_mode] = replace(
+                    cell, required_t=horizon, capped=False, median_err_alpha=median)
+    return list(cells.values())
 
 
 def write_sweep_csv(records: list[SweepRecord], path) -> None:

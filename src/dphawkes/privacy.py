@@ -3,8 +3,8 @@
 Neighboring sequences differ by one tree of events, so the sensitivity of the
 sample statistics is driven by the largest tree: either a known cap B
 (relation-aware) or the probabilistic 3*log(T)/(1-alpha_upper)^2 progeny bound
-(relation-unaware), which requires the horizon threshold checked by
-validate_horizon. One formula serves both: relation-unaware is the
+(relation-unaware), which requires the horizon SensitivitySpec.min_horizon
+(validate_horizon's threshold and T >= e^{1/c2}). One formula serves both: relation-unaware is the
 relation-aware mechanism with B = c2*log(T) (SensitivitySpec.tree_cap).
 Budgets here are per statistic; the released pair composes to twice the
 per-statistic epsilon. private_estimate is the one release path: every private
@@ -62,7 +62,7 @@ class SensitivitySpec:
     b is a known cap B (relation-aware) or None (relation-unaware), where the
     cap is the progeny bound c2*log(T). The same user-supplied gamma feeds c1
     and the horizon threshold, which is 0 in relation-aware mode (no horizon
-    requirement).
+    requirement) and at least e^{1/c2} (a cap of one event) otherwise.
     """
 
     c1: float
@@ -80,8 +80,10 @@ class SensitivitySpec:
 
     @classmethod
     def relation_unaware(cls, bounds: ParamBounds, gamma: float) -> "SensitivitySpec":
-        return cls(c1=c1_constant(bounds, gamma), c2=c2_constant(bounds), b=None,
-                   min_horizon=horizon_threshold(bounds.mu_upper, gamma))
+        c2 = c2_constant(bounds)
+        return cls(c1=c1_constant(bounds, gamma), c2=c2, b=None,
+                   min_horizon=max(horizon_threshold(bounds.mu_upper, gamma),
+                                   math.exp(1.0 / c2)))
 
     @classmethod
     def for_b_mode(cls, bounds: ParamBounds, gamma: float, b_mode: str) -> "SensitivitySpec":
@@ -96,6 +98,7 @@ class SensitivitySpec:
 
 
 def validate_horizon(mu_upper: float, gamma: float, horizon: float) -> bool:
+    """The mu_upper/gamma threshold only; relation-unaware also needs T >= e^{1/c2}."""
     return horizon >= horizon_threshold(mu_upper, gamma)
 
 
@@ -115,31 +118,27 @@ def variance_sensitivity(spec: SensitivitySpec, k: int, delta: float, horizon: f
 
 
 def laplace_sample(scale: float, rng: int | np.random.Generator) -> float:
-    """One zero-mean Laplace draw by inverse CDF of a single uniform.
-
-    Sign from u < 1/2, magnitude -scale*log(1 - 2|u - 1/2|): reproducible from
-    the raw uniform stream. scale 0 is allowed and returns 0 (a draw is still
-    consumed so the stream position does not depend on the scale).
-    """
-    if scale < 0:
-        raise ValueError("scale must be nonnegative")
-    rng = as_generator(rng)
-    u = float(rng.random())
-    if scale == 0.0:
-        return 0.0
-    magnitude = -scale * math.log(max(1.0 - 2.0 * abs(u - 0.5), 5e-324))
-    return -magnitude if u < 0.5 else magnitude
+    """One zero-mean Laplace draw: the first of laplace_samples(scale, rng, 1)."""
+    return float(laplace_samples(scale, rng, 1)[0])
 
 
 def laplace_samples(scale: float, rng: int | np.random.Generator, size: int) -> np.ndarray:
-    """Vectorized draws; one uniform per sample, same map as laplace_sample."""
+    """Zero-mean Laplace draws by inverse CDF, one uniform per sample.
+
+    Sign from u < 1/2, magnitude -scale*log(1 - 2|u - 1/2|): reproducible from
+    the raw uniform stream. scale 0 is allowed and returns zeros (the uniforms
+    are still consumed so the stream position does not depend on the scale).
+    """
     if scale < 0:
         raise ValueError("scale must be nonnegative")
     rng = as_generator(rng)
     u = rng.random(size)
     if scale == 0.0:
         return np.zeros(size)
-    magnitude = -scale * np.log(np.maximum(1.0 - 2.0 * np.abs(u - 0.5), 5e-324))
+    x = np.maximum(1.0 - 2.0 * np.abs(u - 0.5), 5e-324)
+    # math.log, not np.log: numpy's log differs from it in the last bit on some
+    # inputs, and the pinned seeded releases are math.log's.
+    magnitude = -scale * np.fromiter(map(math.log, x.tolist()), np.float64, count=size)
     return np.where(u < 0.5, -magnitude, magnitude)
 
 

@@ -355,3 +355,25 @@ def test_events_file_fault_is_not_blamed_on_the_meta_file(tmp_path, capsys):
     assert run("estimate", str(events), "--out_dir", str(tmp_path)) == EXIT_IO
     err = capsys.readouterr().err
     assert f"{events}: timestamps must be strictly increasing" in err and ".meta" not in err
+
+
+def test_tree_stats_on_unlabeled_file_names_the_file(tmp_path, capsys):
+    path = tmp_path / "unlabeled.csv"
+    path.write_text("timestamp,tree_id,parent_idx\n1,,\n2,,\n")
+    assert run("tree-stats", str(path), "--out_dir", str(tmp_path)) == EXIT_IO
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"input error: {path}: sequence carries no tree labels"]
+
+
+def test_relation_unaware_release_below_one_event_cap_is_refused(tmp_path, capsys):
+    # T = 0.45 < 1 makes the cap c2*log(T) negative; mu_upper = 0.01 and
+    # gamma = 0.5 put the mu/gamma threshold below T, so only the e^{1/c2}
+    # floor refuses it
+    path = tmp_path / "ev.csv"
+    path.write_text("timestamp,tree_id,parent_idx\n0.05,,\n0.12,,\n0.33,,\n0.45,,\n")
+    code = run("privatize", str(path), "--epsilon", "2", "--b", "auto",
+               "--mu_lower", "0.01", "--mu_upper", "0.01", "--gamma", "0.5",
+               "--delta_mode", "0.1", "--out_dir", str(tmp_path))
+    assert code == EXIT_ESTIMATION
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "below relation-unaware threshold" in err[0]

@@ -137,6 +137,23 @@ def test_laplace_scalar_vector_same_stream():
     assert scalar == vector[0]
 
 
+@pytest.mark.parametrize("scale", [0.0, 1e-300, 1.0, 3.7e5, 1e300])
+def test_laplace_vector_draws_are_successive_scalar_draws(scale):
+    for seed in (3, 2024):
+        vector_rng, scalar_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        vector = laplace_samples(scale, vector_rng, 5000)
+        scalar = np.array([laplace_sample(scale, scalar_rng) for _ in range(5000)])
+        assert vector.tobytes() == scalar.tobytes()
+        assert vector_rng.bit_generator.state == scalar_rng.bit_generator.state
+
+
+def test_laplace_floor_is_the_same_in_both_draws():
+    # u = 0 puts 1 - 2|u - 1/2| at 0, so the 5e-324 floor sets the magnitude
+    scalar = laplace_sample(2.0, _FixedUniform(0.0))
+    assert scalar == 2.0 * math.log(5e-324)
+    assert laplace_samples(2.0, _FixedUniform(0.0), 3).tobytes() == np.full(3, scalar).tobytes()
+
+
 def test_laplace_variance_and_tails():
     b = 1.0
     draws = laplace_samples(b, np.random.default_rng(12), 1_000_000)
@@ -317,6 +334,20 @@ def test_privatize_refuses_non_finite_noise_scale_before_drawing(spec, epsilon):
 def test_relation_unaware_threshold_past_float_range_is_infinite():
     spec = SensitivitySpec.relation_unaware(ParamBounds(0.5, 1e300, 0.1, 0.75), GAMMA)
     assert spec.min_horizon == math.inf
+
+
+def test_relation_unaware_refuses_a_cap_under_one_event():
+    # mu_upper = 0.01 and gamma = 0.5 put the mu/gamma threshold at 0.0084 < 1
+    bounds = ParamBounds(0.01, 0.01, 0.1, 0.75)
+    spec = SensitivitySpec.relation_unaware(bounds, 0.5)
+    assert validate_horizon(0.01, 0.5, 0.5)
+    assert spec.min_horizon == math.exp(1.0 / spec.c2)
+    assert spec.tree_cap(spec.min_horizon) == pytest.approx(1.0)
+    budget = PrivacyBudget(epsilon=1.0, gamma=0.5)
+    for horizon in (0.45, 1.0, math.nextafter(spec.min_horizon, 0.0)):
+        with pytest.raises(HorizonTooShort):
+            privatize_stats(_stats(k=4), spec, budget, 0.1, horizon, seed=1)
+    privatize_stats(_stats(k=4), spec, budget, 0.1, spec.min_horizon, seed=1)
 
 
 def test_tree_cap_is_b_or_the_progeny_bound():
