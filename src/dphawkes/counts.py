@@ -53,18 +53,24 @@ def bin_events(events: EventSequence, delta: float) -> CountSeries:
     return bin_times((events.timestamps,), events.horizon, delta)
 
 
-def bin_times(parts: Iterable[np.ndarray], horizon: float, delta: float) -> CountSeries:
-    """The bins of bin_events over timestamps given in parts, in any order.
-
-    Times outside [0, K * delta) are not counted. The bin rule is checked
-    before the first part is read, so parts may be a lazy generator.
-    """
+def bin_count(horizon: float, delta: float) -> int:
+    """The K = floor(horizon / delta + 1e-9) whole bins, refused outside [2, MAX_BINS]."""
     if not delta > 0:
         raise ValueError("delta must be positive")
     k = int(math.floor(horizon / delta + 1e-9))
     if not 2 <= k <= MAX_BINS:
         raise ValueError(f"horizon {horizon:g} yields {k:.3g} bin(s) of width {delta:g}; "
                          f"need 2 to {MAX_BINS:.0e}")
+    return k
+
+
+def bin_times(parts: Iterable[np.ndarray], horizon: float, delta: float) -> CountSeries:
+    """The bins of bin_events over timestamps given in parts, in any order.
+
+    Times outside [0, K * delta) are not counted. The bin rule is checked
+    before the first part is read, so parts may be a lazy generator.
+    """
+    k = bin_count(horizon, delta)
     end = k * delta
     counts = np.zeros(k, dtype=np.int64)
     for ts in parts:

@@ -3,10 +3,11 @@
 Experiment design: one simulated sequence per repetition is shared across the
 (epsilon, B) grid so comparisons between cells are paired; Laplace noise is
 drawn independently per cell from a seed derived from the cell coordinates.
-The time-to-threshold search additionally reuses the same noise uniforms
-across cells at fixed (T, rep), which makes |noise| pointwise monotone in the
-noise scale and keeps the required-time orderings stable at small repetition
-counts. Everything is a pure function of the base seed.
+The time-to-threshold search observes one process per repetition (a probe
+reads a prefix) and reuses the noise uniforms across cells at fixed (T, rep),
+which makes |noise| pointwise monotone in the noise scale and keeps the
+required-time orderings stable at small repetition counts. Everything is a
+pure function of the base seed.
 """
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ from .config import ExperimentConfig, delta_from_rule
 # simulate_branching are unused here, and bin_events serves only the dataset
 # path, but they stay bound: the traced benchmark (perfbench/spans.py) wraps
 # them by module attribute. Simulated series come from branching_counts.
-from .counts import CountSeries, bin_events, sample_stats
+from .counts import CountSeries, bin_count, bin_events, sample_stats
 from .errors import ConfigError, HorizonTooShort, NonConvergence
 from .estimator import EstimateResult, estimate, invert_moments
 from .ingest import ingest_timestamps
@@ -168,10 +169,14 @@ def run_time_to_threshold(config: ExperimentConfig, threshold: float,
                           t_min: float = 12500.0, t_max: float = 1e6) -> list[ThresholdCell]:
     """Doubling search over T until the median alpha error drops below threshold.
 
-    For each probed T the per-repetition sequence and the noise uniforms are
-    shared across all (epsilon, B) cells; only the noise scale differs. The
-    first passing probe is reported; cells still failing at t_max are marked
-    capped. Non-converged repetitions count as infinite error.
+    Each repetition is one process simulated once to t_max (seed
+    derived_seed(seed, 3, rep)) and binned at the gcd of the probes' widths;
+    probe T sums its first bins, which is bit for bit the t_max sequence binned
+    at T and in law a process run to T. An early stop still pays for t_max. The
+    series and noise uniforms of a probe are shared across all (epsilon, B)
+    cells; only the noise scale differs. The first passing probe is reported;
+    cells still failing at t_max are marked capped. Non-converged repetitions
+    count as infinite error.
     """
     if config.dataset is not None:
         raise ConfigError("time-to-threshold requires synthetic ground truth")
@@ -186,19 +191,23 @@ def run_time_to_threshold(config: ExperimentConfig, threshold: float,
         t *= 2.0
     if probes[-1] < t_max:
         probes.append(t_max)
+    deltas = [delta_from_rule(config.delta_mode, horizon) for horizon in probes]
+    bins = [bin_count(horizon, delta) for horizon, delta in zip(probes, deltas)]  # before simulating
+    base = deltas[0] if len(set(deltas)) == 1 else float(math.gcd(*map(int, deltas)))
+    fine = [branching_counts(config.params, t_max, derived_seed(config.seed, 3, rep), base).counts
+            for rep in range(config.repetitions)]
 
     cells = {(eps, b_mode): ThresholdCell(epsilon=eps, b_mode=b_mode, required_t=None,
                                           capped=True, median_err_alpha=None)
              for eps in config.epsilons for b_mode in config.b_values}
-    for pi, horizon in enumerate(probes):
+    for pi, (horizon, delta, k) in enumerate(zip(probes, deltas, bins)):
         pending = [cell for cell in cells.values() if cell.capped]
         if not pending:
             break
-        delta = delta_from_rule(config.delta_mode, horizon)
+        m = round(delta / base)
         # One int noise seed per rep: every cell redraws the same two noise uniforms.
-        reps = [(branching_counts(config.params, horizon, derived_seed(config.seed, 3, pi, rep),
-                                  delta), derived_seed(config.seed, 4, pi, rep))
-                for rep in range(config.repetitions)]
+        reps = [(CountSeries(counts[:k * m].reshape(k, m).sum(1), delta, k * delta),
+                 derived_seed(config.seed, 4, pi, rep)) for rep, counts in enumerate(fine)]
         for cell in pending:
             errs = []
             for series, noise_seed in reps:

@@ -182,6 +182,22 @@ def test_time_to_threshold_cli(tmp_path):
     assert lines[0] == "epsilon,b_mode,required_t,capped,median_err_alpha"
 
 
+def test_time_to_threshold_refuses_a_short_probe_before_simulating(tmp_path, capsys,
+                                                                    monkeypatch):
+    from dphawkes import experiments
+
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated before the bin counts were checked")
+
+    monkeypatch.setattr(experiments, "branching_counts", no_simulation)
+    code = run("time-to-threshold", "--delta_mode", "10", "--threshold", "0.5",
+               "--t_min", "15", "--t_max", "40", "--out_dir", str(tmp_path))
+    assert code == EXIT_IO
+    assert capsys.readouterr().err.strip() == \
+        "input error: horizon 15 yields 1 bin(s) of width 10; need 2 to 1e+08"
+    assert not (tmp_path / "time_to_threshold.csv").exists()
+
+
 def test_complexity_cli(tmp_path, capsys):
     code = run("complexity", "--mu_lower", "0.5", "--mu_upper", "2",
                "--alpha_lower", "0.1", "--alpha_upper", "0.75",

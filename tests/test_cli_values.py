@@ -56,7 +56,9 @@ NOT_REFUSED = {
     ("warmup", "0"): (EXIT_OK, {}),
     ("threshold", "inf"): (EXIT_OK, {}),  # met by any error, at the first probe
     ("threshold", "1e300"): (EXIT_OK, {}),
-    ("t_max", "1e300"): (EXIT_OK, {}),  # the first probe meets the threshold
+    # the search simulates t_max once, so every probe's bins are checked first:
+    # the far probes hold more bins than a series may (an input error)
+    ("t_max", "1e300"): (EXIT_IO, {}),
     ("scale", "1e300"): (EXIT_OK, {}),
     ("delta_bin", "1e300"): (EXIT_OK, {}),  # a wider bin only lowers the bound
     # a simulation would exceed the event cap

@@ -6,9 +6,11 @@ import time
 import numpy as np
 import pytest
 
-from dphawkes import ConfigError, bin_events, estimate, simulate_branching
+from dphawkes import (ConfigError, bin_events, branching_counts, estimate, sample_stats,
+                      simulate_branching)
 from dphawkes import experiments
-from dphawkes.config import ExperimentConfig
+from dphawkes.config import ExperimentConfig, delta_from_rule
+from dphawkes.counts import bin_times
 from dphawkes.experiments import (BASELINE_B_MODE, read_sweep_csv, run_sweep,
                                   run_time_to_threshold, summarize_sweep,
                                   write_sweep_csv, SWEEP_CSV_HEADER)
@@ -177,6 +179,68 @@ def test_threshold_search_refuses_infinite_t_max():
         run_time_to_threshold(small_config(), threshold=0.1, t_min=5000.0, t_max=math.inf)
 
 
+def _probe_series(monkeypatch, cfg, t_min, t_max):
+    """{(probe index, rep): series} that a search hands to the release; the
+    release is skipped and every cell fails, so the search runs every probe."""
+    seen = []
+    monkeypatch.setattr(experiments, "_release",
+                        lambda config, series, eps, b_mode, seed: seen.append((series, seed)))
+    run_time_to_threshold(cfg, threshold=1.0, t_min=t_min, t_max=t_max)
+    where = {derived_seed(cfg.seed, 4, pi, rep): (pi, rep)
+             for pi in range(16) for rep in range(cfg.repetitions)}
+    return {where[seed]: series for series, seed in seen}
+
+
+@pytest.mark.parametrize("delta_mode,t_min,t_max", [("log", 2500.0, 80000.0),
+                                                    ("7.5", 3000.0, 50000.0)])
+def test_threshold_probes_are_prefixes_of_one_sequence(monkeypatch, delta_mode, t_min, t_max):
+    # 'log' widths are 5 up to T = 5000 and 10 after, so later probes sum base bins
+    cfg = small_config(repetitions=20, epsilons=(1.0,), b_values=("10",), seed=5,
+                       delta_mode=delta_mode)
+    probes = [min(t_min * 2**pi, t_max) for pi in range(6)]
+    series = _probe_series(monkeypatch, cfg, t_min, t_max)
+    assert len(series) == 20 * len(probes)
+    for rep in range(20):
+        seq = simulate_branching(cfg.params, t_max, derived_seed(cfg.seed, 3, rep))
+        for pi, horizon in enumerate(probes):
+            got = series[pi, rep]
+            want = bin_times((seq.timestamps,), horizon, got.delta)
+            assert got.delta == delta_from_rule(delta_mode, horizon)
+            assert got.horizon == want.horizon
+            assert np.array_equal(got.counts, want.counts), (rep, horizon)
+
+
+def test_threshold_prefixes_have_the_law_of_shorter_runs(monkeypatch):
+    # the first T of a run to t_max against independent runs to T
+    from scipy import stats as sps
+    cfg = small_config(repetitions=200, epsilons=(1.0,), b_values=("10",), seed=9,
+                       delta_mode="log")
+    prefix = [s for (pi, _), s in _probe_series(monkeypatch, cfg, 2000.0, 8000.0).items()
+              if pi == 0]
+    fresh = [branching_counts(cfg.params, 2000.0, derived_seed(91, i), prefix[0].delta)
+             for i in range(200)]
+    assert len(prefix) == 200 and prefix[0].horizon == 2000.0
+    for name in ("eta_hat", "sigma_sq_hat"):
+        a, b = ([getattr(sample_stats(s), name) for s in group] for group in (prefix, fresh))
+        assert sps.ks_2samp(a, b).pvalue > 0.01, name
+
+
+@pytest.mark.parametrize("threshold", [math.inf, 1e-12])
+def test_threshold_search_simulates_each_rep_once(monkeypatch, threshold):
+    # the first probe meets an infinite threshold, no probe meets 1e-12
+    calls = []
+    simulate = experiments.branching_counts
+
+    def recording(params, horizon, seed, delta):
+        calls.append(horizon)
+        return simulate(params, horizon, seed, delta)
+
+    monkeypatch.setattr(experiments, "branching_counts", recording)
+    cfg = small_config(repetitions=3, epsilons=(1.0,), b_values=("10",))
+    run_time_to_threshold(cfg, threshold=threshold, t_min=5000.0, t_max=40000.0)
+    assert calls == [40000.0] * 3
+
+
 def test_sweep_and_threshold_outputs_are_pinned(tmp_path):
     # gamma = 0.5 and mu_upper = 0.6 put the relation-unaware threshold near
     # T = 234, so 'auto' cells converge and the hashes pin both sensitivity
@@ -199,7 +263,7 @@ def test_sweep_and_threshold_outputs_are_pinned(tmp_path):
         "sweep.csv": "ff383daf22921db72576b9478cd205782ff9d06afd3bcf4ee654cfa3cffc983e",
         "sweep_summary.csv": "3374543c3ae28b35946cf9c36782ad4d765448dee263ab12f36e1695ff72976e",
         "time_to_threshold.csv":
-            "bbd2db90417908b20ffbd773f49879b307eee9aa4ca093adf0af57c902adb076",
+            "a1368cd4934ec76647131237edc1d215854dc885b1d0b4eecc90c99b94d1fba6",
     }
 
 
