@@ -220,9 +220,13 @@ def cmd_time_to_threshold(args) -> int:
 
 def cmd_complexity(args) -> int:
     config, _ = _config_from_args(args)
-    b_mode = check_b_mode("auto" if args.b is None else args.b)
+    b_mode = check_b_mode(args.b)
     budget = (None if args.epsilon is None
               else PrivacyBudget(epsilon=args.epsilon / 2.0, gamma=config.gamma))
+    if args.private and budget is None:
+        raise ConfigError("--epsilon is required for the private bound")
+    if not args.private and (budget is not None or b_mode != "auto"):
+        raise ConfigError("--epsilon and --b apply to the private bound only; add --private")
     eta4 = args.eta4
     if eta4 is None:
         if args.eta4_bins is None:
@@ -233,14 +237,8 @@ def cmd_complexity(args) -> int:
     inputs = ComplexityInputs(bounds=config.bounds, xi=args.xi,
                               delta_prob=args.delta_prob, delta_bin=args.delta_bin,
                               eta4=eta4, sigma_sq=args.sigma_sq, c=args.c)
-    if args.private:
-        if budget is None:
-            raise ConfigError("--epsilon is required for the private bound")
-        b = None if b_mode == "auto" else int(b_mode)
-        report = required_T_private(inputs, budget, relation_aware_b=b,
-                                    constants=args.constants)
-    else:
-        report = required_T_nonprivate(inputs, constants=args.constants)
+    report = (required_T_private(inputs, budget, b_mode, constants=args.constants)
+              if args.private else required_T_nonprivate(inputs, constants=args.constants))
     print(f"required T = {report.required_T:.6g} (binding term: {report.binding_term})")
     for label, value in report.all_terms:
         print(f"  {label:<20} {value:.6g}")
@@ -325,7 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c", type=float, default=None, help="Delta = c*log(T) constant")
     p.add_argument("--private", action="store_true")
     p.add_argument("--epsilon", type=float, default=None, help="total privacy budget")
-    p.add_argument("--b", default=None, help="known maximum tree size, or 'auto'")
+    p.add_argument("--b", default="auto",
+                   help="known maximum tree size, or 'auto' (default) for relation-unaware")
     p.add_argument("--constants", choices=("theorem", "appendix"), default="theorem")
     p.add_argument("--out", help="write the term table CSV here")
     p.set_defaults(func=cmd_complexity)

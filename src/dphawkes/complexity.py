@@ -1,9 +1,9 @@
 """Sample-complexity calculators for the non-private and private estimators.
 
 The non-private condition is a direct maximum of four terms; the private one
-mixes a direct bound with conditions of the form T/(log T)^p >= R, which are
-strictly increasing in T on the solver bracket and therefore solved by
-bisection.
+mixes direct bounds with conditions f(T) >= R whose f (T/log T, or the
+Laplace tail's T/(sqrt(log T)*cap(T)^2)) is strictly increasing in T on the
+solver bracket, so one bisection solves them all.
 """
 from __future__ import annotations
 
@@ -14,9 +14,10 @@ from statistics import NormalDist
 import numpy as np
 
 from .counts import MAX_BINS
+from .config import check_b_mode
 from .errors import ConfigError, PreconditionViolated
 from .hawkes import HawkesParams, ParamBounds
-from .privacy import PrivacyBudget, c1_constant, c2_constant
+from .privacy import PrivacyBudget, SensitivitySpec
 from .rng import task_rng
 from .simulate import branching_counts
 from .tables import read_table, write_table
@@ -129,20 +130,17 @@ _SOLVE_HI = 1e30
 _SOLVE_RTOL = 1e-9
 
 
-def _solve_t_over_logpow(rhs: float, power: float) -> float:
-    """Smallest T on [e^3, 1e30] with T / (log T)^power >= rhs.
+def _solve_increasing(f, rhs: float) -> float:
+    """Smallest T on [e^3, 1e30] with f(T) >= rhs, for f strictly increasing there.
 
-    T/(log T)^power is strictly increasing there; returns the upper end of the
-    final bisection bracket so the inequality holds at the reported T.
+    Returns the upper end of the final bisection bracket so the inequality
+    holds at the reported T.
     """
-    def f(t: float) -> float:
-        return t / math.log(t) ** power
-
     lo, hi = _SOLVE_LO, _SOLVE_HI
     if f(lo) >= rhs:
         return lo
     if f(hi) < rhs:
-        raise ConfigError(f"condition T/(log T)^{power} >= {rhs:.3g} unsolvable below 1e30")
+        raise ConfigError(f"condition f(T) >= {rhs:.3g} unsolvable below 1e30")
     while hi - lo > _SOLVE_RTOL * hi:
         mid = 0.5 * (lo + hi)
         if f(mid) >= rhs:
@@ -152,50 +150,45 @@ def _solve_t_over_logpow(rhs: float, power: float) -> float:
     return hi
 
 
+def _t_over_log(t: float) -> float:
+    return t / math.log(t)
+
+
 def required_T_private(inputs: ComplexityInputs, budget: PrivacyBudget,
-                       relation_aware_b: int | None = None,
+                       b_mode: str = "auto",
                        constants: str = "theorem") -> ComplexityReport:
     """Private-estimator horizon bound under Delta = c*log(T).
 
-    The first condition is a direct bound on T; the T/log(T)-type conditions
-    are solved by bisection. relation_aware_b switches the Laplace-tail
-    condition to its known-maximum-tree-size form.
+    b_mode is the release's tree-cap label ('auto' or a positive integer B)
+    and builds the release's SensitivitySpec: the Laplace-tail condition reads
+    the cap from spec.tree_cap, and the release's horizon floor
+    spec.min_horizon (0 when relation-aware) is a term.
     """
     if inputs.c is None:
         raise ConfigError("inputs.c (the Delta = c*log T constant) is required")
     c9 = c9_constant(inputs.bounds, constants)
     _check_preconditions(inputs, c9)
     b = inputs.bounds
+    spec = SensitivitySpec.for_b_mode(b, budget.gamma, check_b_mode(b_mode))
     xi, d, c = inputs.xi, inputs.delta_prob, inputs.c
     q = 1.0 - b.alpha_upper
     psi_16 = inverse_normal_cdf(1.0 - d / 16.0)
     psi_32 = inverse_normal_cdf(1.0 - d / 32.0)
 
     base12 = c9**2 * b.mu_upper / (q**3 * xi**2)
+    base13 = c * b.mu_upper / (q**3 * xi)
+    tail_rhs = (4.0 * math.sqrt(c) * spec.c1 * c9 * math.log(4.0 / d)
+                / (budget.epsilon * xi))
     terms = [
         ("mean_clt", base12 * psi_16**2),
         ("var_fourth_moment",
          base12 * 9.0 * c9**2 * psi_32**2 * (inputs.eta4 - inputs.sigma_sq)),
+        ("var_mean_square", _solve_increasing(_t_over_log, base13 * 3.0 * c9 * psi_32**2)),
+        ("var_markov", _solve_increasing(_t_over_log, base13 * 48.0 * c9 / d)),
+        ("laplace_tail", _solve_increasing(
+            lambda t: t / (math.sqrt(math.log(t)) * spec.tree_cap(t) ** 2), tail_rhs)),
+        ("min_horizon", spec.min_horizon),
     ]
-
-    base13 = c * b.mu_upper / (q**3 * xi)
-    terms.append(("var_mean_square",
-                  _solve_t_over_logpow(base13 * 3.0 * c9 * psi_32**2, 1.0)))
-    terms.append(("var_markov",
-                  _solve_t_over_logpow(base13 * 48.0 * c9 / d, 1.0)))
-
-    c1 = c1_constant(b, budget.gamma)
-    log4d = math.log(4.0 / d)
-    if relation_aware_b is None:
-        c2 = c2_constant(b)
-        rhs = 4.0 * math.sqrt(c) * c1 * c2**2 * c9 * log4d / (budget.epsilon * xi)
-        terms.append(("laplace_tail", _solve_t_over_logpow(rhs, 2.5)))
-    else:
-        if relation_aware_b < 1:
-            raise ValueError("relation_aware_b must be a positive integer")
-        rhs = (4.0 * math.sqrt(c) * relation_aware_b**2 * c1 * c9 * log4d
-               / (budget.epsilon * xi))
-        terms.append(("laplace_tail", _solve_t_over_logpow(rhs, 0.5)))
     return _report(terms)
 
 

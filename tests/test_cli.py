@@ -209,6 +209,22 @@ def test_complexity_cli(tmp_path, capsys):
     assert (tmp_path / "report.csv").read_text().startswith("term_label,value,binding")
 
 
+@pytest.mark.parametrize("b, laplace_tail, min_horizon", [
+    (None, "1.12654e+12", "1.50184e+06"), ("10", "5.07706e+07", "0")])
+def test_complexity_private_takes_the_release_b_label(tmp_path, capsys, b, laplace_tail,
+                                                     min_horizon):
+    # --epsilon is the total budget: 2 gives the goldens' per-statistic epsilon 1
+    code = run("complexity", "--private", "--epsilon", "2", "--c", "100",
+               *(("--b", b) if b else ()),
+               "--xi", "40", "--delta_prob", "0.05", "--delta_bin", "30000",
+               "--sigma_sq", "239986", "--eta4", "1.8e11", "--out_dir", str(tmp_path))
+    assert code == EXIT_OK
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "required T = 8.16968e+22 (binding term: var_fourth_moment)"
+    assert f"  {'laplace_tail':<20} {laplace_tail}" in out
+    assert f"  {'min_horizon':<20} {min_horizon}" in out
+
+
 def test_complexity_inadmissible_is_config_error(tmp_path):
     code = run("complexity", "--xi", "40", "--delta_prob", "0.05",
                "--delta_bin", "10", "--sigma_sq", "100", "--eta4", "1e4",

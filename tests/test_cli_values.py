@@ -131,8 +131,12 @@ COMPLEXITY_NONPRIVATE = ("complexity", "--xi", "40", "--delta_prob", "0.05",
                          "--delta_bin", "30000", "--sigma_sq", "239986", "--eta4", "1.8e11")
 
 
+# valid values too: the non-private bound would ignore them (it printed 1.63e16
+# for --epsilon 1 --b 10, where the private bound is 8.17e22)
 @pytest.mark.parametrize("flags", [("--epsilon", "nan"), ("--epsilon", "0"), ("--b", "abc"),
-                                   ("--b", "0"), ("--epsilon", "nan", "--b", "abc")])
+                                   ("--b", "0"), ("--epsilon", "nan", "--b", "abc"),
+                                   ("--epsilon", "1", "--b", "10"), ("--epsilon", "1"),
+                                   ("--b", "10")])
 def test_complexity_checks_budget_flags_without_private(flags, capsys):
     code, err, how = _outcome([*COMPLEXITY_NONPRIVATE, *flags], capsys)
     assert (code, how, len(err)) == (EXIT_CONFIG, "returned", 1), err

@@ -8,8 +8,9 @@ from dphawkes import (ComplexityInputs, ConfigError, HawkesParams, ParamBounds,
                       PreconditionViolated, PrivacyBudget, c9_constant,
                       eta4_monte_carlo, inverse_normal_cdf, required_T_mean,
                       required_T_nonprivate, required_T_private)
-from dphawkes.complexity import _solve_t_over_logpow, write_complexity_csv
+from dphawkes.complexity import _solve_increasing, write_complexity_csv
 from dphawkes.counts import MAX_BINS
+from dphawkes.privacy import SensitivitySpec
 
 BOX_A = ParamBounds(0.5, 2.0, 0.1, 0.75)
 BOX_B = ParamBounds(0.9, 1.1, 0.3, 0.6)
@@ -140,7 +141,21 @@ GOLDEN_PRIVATE_TERMS_A = {
     "var_mean_square": 79024951.45815977,
     "var_markov": 3499253034.442463,
     "laplace_tail": 1126541531712.564,
+    "min_horizon": 1501835.5760162983,
 }
+# laplace_tail for a known tree cap B, per input set
+GOLDEN_LAPLACE_TAIL_AWARE = {
+    ("A", "1"): 434271.8491458808,
+    ("A", "10"): 50770552.19305352,
+    ("A", "100"): 5712989614.139394,
+    ("B", "1"): 41944.00149469178,
+    ("B", "10"): 5050914.502887402,
+    ("B", "100"): 577448124.7669127,
+    ("C", "1"): 50042.057667247565,
+    ("C", "10"): 6010304.135591431,
+    ("C", "100"): 686208366.3312509,
+}
+INPUTS = {"A": inputs_a, "B": inputs_b, "C": inputs_c}
 
 
 @pytest.mark.parametrize("name,make", [("A", inputs_a), ("B", inputs_b), ("C", inputs_c)])
@@ -163,11 +178,36 @@ def test_golden_private(name, make):
             assert v == pytest.approx(GOLDEN_PRIVATE_TERMS_A[label], rel=1e-6)
 
 
-def test_golden_private_relation_aware():
-    report = required_T_private(inputs_a(), PrivacyBudget(epsilon=1.0, gamma=0.05),
-                                relation_aware_b=10)
+@pytest.mark.parametrize("name,b", sorted(GOLDEN_LAPLACE_TAIL_AWARE))
+def test_golden_private_relation_aware(name, b):
+    report = required_T_private(INPUTS[name](), PrivacyBudget(epsilon=1.0, gamma=0.05),
+                                b_mode=b)
     terms = dict(report.all_terms)
-    assert terms["laplace_tail"] == pytest.approx(50770552.19305352, rel=1e-6)
+    assert terms["laplace_tail"] == pytest.approx(GOLDEN_LAPLACE_TAIL_AWARE[name, b],
+                                                  rel=1e-6)
+    assert terms["min_horizon"] == 0.0
+
+
+def test_private_bound_names_no_horizon_the_release_refuses():
+    # the T/log T terms alone gave 1.83e4 (var_markov), where the relation-unaware
+    # release refuses every horizon below (mu_upper*e^2/gamma)^2.5 = 2.65e5
+    bounds = ParamBounds(1.0, 1.0, 0.1, 0.3)
+    c9 = c9_constant(bounds)
+    xi = 0.9 * c9 / 6.0
+    floor = 4.0 * c9 * bounds.mu_upper / ((1.0 - bounds.alpha_upper) ** 4 * xi)
+    inp = ComplexityInputs(bounds=bounds, xi=xi, delta_prob=0.5, delta_bin=1.01 * floor,
+                           eta4=1.0 + 1e-9, sigma_sq=1.0, c=1.0)
+    budget = PrivacyBudget(epsilon=1e3, gamma=0.05)
+    report = required_T_private(inp, budget)
+    spec = SensitivitySpec.for_b_mode(bounds, budget.gamma, "auto")
+    assert report.binding_term == "min_horizon"
+    assert report.required_T == spec.min_horizon == pytest.approx(2.65e5, rel=1e-2)
+
+
+def test_private_bound_refuses_the_labels_the_release_refuses():
+    for b in ("0", "-1", "ten", ""):
+        with pytest.raises(ConfigError, match="B must be a positive integer"):
+            required_T_private(inputs_a(), PrivacyBudget(epsilon=1.0, gamma=0.05), b_mode=b)
 
 
 # --- structural properties ---------------------------------------------------
@@ -268,10 +308,11 @@ def test_private_dominates_nonprivate():
 
 def test_bisection_satisfies_inequality_tightly():
     for power, rhs in ((1.0, 3.7e6), (2.5, 8.9e9), (0.5, 123456.0)):
-        t = _solve_t_over_logpow(rhs, power)
-        assert t / math.log(t) ** power >= rhs
-        t_shrunk = t * (1 - 1e-6)
-        assert t_shrunk / math.log(t_shrunk) ** power < rhs
+        def f(t):
+            return t / math.log(t) ** power
+        t = _solve_increasing(f, rhs)
+        assert f(t) >= rhs
+        assert f(t * (1 - 1e-6)) < rhs
 
 
 # --- eta4 Monte Carlo ---------------------------------------------------------
@@ -338,7 +379,7 @@ def test_overflowing_term_or_unsolvable_condition_is_config_error():
     with pytest.raises(ConfigError, match="var_fourth_moment"):
         required_T_nonprivate(inp)
     with pytest.raises(ConfigError, match="unsolvable"):
-        _solve_t_over_logpow(1e300, 1.0)
+        _solve_increasing(lambda t: t / math.log(t), 1e300)
 
 
 def test_eta4_monte_carlo_refuses_infinite_bins():
