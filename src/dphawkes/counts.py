@@ -12,6 +12,7 @@ from .tables import read_table, write_table
 
 COUNTS_HEADER = ("bin_index", "count")
 MAX_BINS = 10**8  # 800 MB of int64 counts
+BIN_BLOCK = 1 << 16  # timestamps binned per slice, bounding the temporaries
 
 
 @dataclass(frozen=True)
@@ -69,13 +70,25 @@ def bin_times(parts: Iterable[np.ndarray], horizon: float, delta: float) -> Coun
 
     Times outside [0, K * delta) are not counted. The bin rule is checked
     before the first part is read, so parts may be a lazy generator.
+
+    A time's bin is np.floor_divide(t, delta), bit for bit: a correctly
+    rounded t / delta can cross an integer only by rounding up onto it, so the
+    truncated quotient is recomputed by floor_divide only where it is integral.
     """
     k = bin_count(horizon, delta)
     end = k * delta
     counts = np.zeros(k, dtype=np.int64)
-    for ts in parts:
-        ts = ts[(ts >= 0.0) & (ts < end)]
-        counts += np.bincount(np.floor_divide(ts, delta).astype(np.int64), minlength=k)
+    for part in parts:
+        for lo in range(0, part.size, BIN_BLOCK):
+            ts = part[lo:lo + BIN_BLOCK]
+            ts = ts[(ts >= 0.0) & (ts < end)]
+            q = ts / delta
+            idx = q.astype(np.int64)
+            edge = idx == q
+            idx[edge] = np.floor_divide(ts[edge], delta)
+            first = idx.min(initial=k)  # count over the slice's own bins, not all k
+            c = np.bincount(idx - first)
+            counts[first:first + c.size] += c
     return CountSeries(counts=counts, delta=delta, horizon=end)
 
 

@@ -92,6 +92,11 @@ def _generations(params: HawkesParams, horizon: float, rng: np.random.Generator,
     generation (None for the immigrants, or everywhere when with_parents is
     false). This loop alone fixes the order of the RNG draws, so every caller
     sees the same events for the same seed.
+
+    n parents draw a Poisson(alpha * n) total, then each child's parent
+    uniformly, then the delays: n iid Poisson(alpha) counts are that total
+    spread as a uniform multinomial. Parents are sorted so children stay in
+    parent order, which keeps simulate_branching's stable argsort fast.
     """
     start = -warmup
     span = horizon - start
@@ -100,17 +105,14 @@ def _generations(params: HawkesParams, horizon: float, rng: np.random.Generator,
     times.sort()
     yield times, None
     while times.size:
-        n_children = rng.poisson(params.alpha, times.size)
-        tot = int(n_children.sum())
+        tot = int(rng.poisson(params.alpha * times.size))
         if tot == 0:
             return
-        times = np.repeat(times, n_children) + rng.exponential(1.0, tot)
+        parent = np.sort(rng.integers(0, times.size, tot))
+        times = times[parent] + rng.exponential(1.0, tot)
         keep = times <= horizon
         times = times[keep]
-        if with_parents:
-            yield times, np.repeat(np.arange(n_children.size), n_children)[keep]
-        else:
-            yield times, None
+        yield times, parent[keep] if with_parents else None
 
 
 def simulate_branching(params: HawkesParams, horizon: float,

@@ -106,7 +106,7 @@ def test_privatize_nonpositive_private_mean_exits_estimation(tmp_path, capsys):
     result = tmp_path / "result.csv"
     code = run("privatize", str(path), "--epsilon", "0.01", "--b", "100", "--seed", "2",
                "--delta_mode", "10", "--out_dir", str(tmp_path), "--out", str(result))
-    assert code == EXIT_ESTIMATION  # the noise drives the mean to -110.459
+    assert code == EXIT_ESTIMATION  # the noise drives the mean to -108.979
     assert "nonpositive" in capsys.readouterr().err
     header, row = result.read_text().splitlines()
     assert dict(zip(header.split(","), row.split(",")))["converged"] == "0"

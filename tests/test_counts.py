@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from dphawkes import (CountSeries, EventSequence, HawkesParams, bin_events,
                       sample_stats, simulate_thinning, theoretical_moments)
-from dphawkes.counts import read_counts_csv, write_counts_csv
+from dphawkes.counts import BIN_BLOCK, bin_times, read_counts_csv, write_counts_csv
 
 
 def test_bin_events_example():
@@ -39,6 +39,27 @@ def test_bin_events_needs_two_bins():
 def test_bin_boundary_left_closed():
     seq = EventSequence(np.array([0.0, 1.0, 1.5]), horizon=2.0)
     assert bin_events(seq, 1.0).counts.tolist() == [1, 2]
+
+
+@pytest.mark.parametrize("delta", [10.0, 5.0, 7.5, 0.1, 0.3, 1e-3])
+def test_bin_index_equals_floor_division_at_every_edge(delta):
+    k = 8000
+    end = k * delta
+    edges = np.arange(k + 1) * delta
+    near = [edges]
+    for _ in range(2):  # both neighbours, then the next ones out
+        near = [np.nextafter(near[0], -np.inf), *near, np.nextafter(near[-1], np.inf)]
+    ts = np.concatenate(near)
+    ts = ts[(ts >= 0.0) & (ts < end)]
+    assert np.nextafter(end, 0.0) in ts
+    # a truncated quotient alone misses where delta is not a binary fraction
+    misses = np.count_nonzero((ts / delta).astype(np.int64) != np.floor_divide(ts, delta))
+    assert (misses > 0) == (delta in (0.1, 0.3, 1e-3))
+    rand = np.random.default_rng(11).uniform(-delta, end + delta, 3 * BIN_BLOCK + 7)
+    got = bin_times([ts, rand, np.array([-0.0, end])], end, delta)
+    kept = np.concatenate([ts, rand[(rand >= 0.0) & (rand < end)], [-0.0]])
+    want = np.bincount(np.floor_divide(kept, delta).astype(np.int64), minlength=k)
+    np.testing.assert_array_equal(got.counts, want)
 
 
 def test_count_series_validation():

@@ -249,15 +249,16 @@ def test_csv_round_trip_is_bit_exact(tmp_path_factory, drawn, labeled):
 
 
 def test_csv_bytes_at_benchmark_scale_are_pinned(tmp_path):
-    # sha256 of the files written at T = 1.25e5, seed 7 by the row-at-a-time
-    # csv.writer implementation; the format is a contract, so these never move.
+    # sha256 of the files written at T = 1.25e5, seed 7; they move only with
+    # the sampler's draws. The format is a contract, checked against csv.writer.
     seq = simulate_branching(HawkesParams(1.0, 0.5), 1.25e5, seed=7)
     path = tmp_path / "ev.csv"
     for events, digest in (
-            (seq, "251f0e4c74f8bb0709357f220b6c02521cacbb2d9a34acd45ac249d0c14d1f7d"),
+            (seq, "cfbc0df8f01c226356428ba980cc259f464ea29fb750df583dbaaacf1c1512b6"),
             (EventSequence(seq.timestamps, seq.horizon),
-             "00ccc0a949ad41987ff4bb8a786dde2010bec7fd6a7a895beb2f8197ab5c93df")):
+             "fd15a806c1d1ea0f9f21b907abfc4b3dd24bc26006e395144f7e187ae96689c1")):
         write_events_csv(events, path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+        assert path.read_bytes() == _csv_writer_reference(events)
         back = read_events_csv(path, horizon=seq.horizon)
         assert back.timestamps.tobytes() == seq.timestamps.tobytes()

@@ -260,10 +260,10 @@ def test_sweep_and_threshold_outputs_are_pinned(tmp_path):
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for name in ("sweep.csv", "sweep_summary.csv", "time_to_threshold.csv")}
     assert digests == {
-        "sweep.csv": "ff383daf22921db72576b9478cd205782ff9d06afd3bcf4ee654cfa3cffc983e",
-        "sweep_summary.csv": "3374543c3ae28b35946cf9c36782ad4d765448dee263ab12f36e1695ff72976e",
+        "sweep.csv": "f990d4e062680f380a4e3f49f1dff5917c872227f82de0b6df07ccf1788f508d",
+        "sweep_summary.csv": "ae310da1d4881206a6ce0d8bf96de9ac413d9ac06b1332975e1f6aebbe9642d6",
         "time_to_threshold.csv":
-            "a1368cd4934ec76647131237edc1d215854dc885b1d0b4eecc90c99b94d1fba6",
+            "fe90d6a905b85af7241a254ae3d54e41431752cded4a84a242c218546fb24d22",
     }
 
 

@@ -8,7 +8,7 @@ from dphawkes import (HawkesParams, bin_events, branching_counts, default_warmup
                       sample_stats, simulate_branching, simulate_thinning,
                       theoretical_moments, transient_moments, tree_sizes)
 from dphawkes.errors import ConfigError
-from dphawkes.simulate import MAX_EXPECTED_EVENTS
+from dphawkes.simulate import MAX_EXPECTED_EVENTS, _generations
 
 
 @pytest.mark.parametrize("simulate", [simulate_thinning, simulate_branching])
@@ -87,6 +87,25 @@ def test_branching_offspring_mean():
     mean_offspring = children[parents].mean()
     se = math.sqrt(p.alpha / parents.sum())
     assert abs(mean_offspring - p.alpha) < 4 * se
+
+
+@pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])
+def test_offspring_counts_are_poisson(alpha):
+    # one Poisson total per generation, spread over uniform parents, must give
+    # each parent a Poisson(alpha) count; parents 50 before T lose no child
+    from scipy import stats as sps
+    horizon = 250_000.0
+    gens = _generations(HawkesParams(1.0, alpha), horizon, np.random.default_rng(5),
+                        0.0, True)
+    parents, _ = next(gens)
+    _, parent = next(gens)
+    children = np.bincount(parent, minlength=parents.size)[parents <= horizon - 50.0]
+    assert children.size >= 200_000
+    law = sps.poisson(alpha)
+    top = int(law.isf(5.0 / children.size))  # counts >= top pool into one bin, >= 5 expected
+    observed = np.bincount(np.minimum(children, top), minlength=top + 1)
+    expected = children.size * np.append(law.pmf(np.arange(top)), law.sf(top - 1))
+    assert sps.chisquare(observed, expected).pvalue > 0.01
 
 
 def test_warmup_default_restores_stationary_first_bin():
