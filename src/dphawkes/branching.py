@@ -89,12 +89,10 @@ def discrepancy_bound(bounds: ParamBounds, gamma: float, b: int, delta: float) -
 def write_tree_csv(stats: TreeStats, path) -> None:
     """Histogram export: one row per observed size."""
     sizes, counts = np.unique(stats.sizes, return_counts=True)
-    with open(path, "w", newline="") as fh:
-        write_table(fh, TREE_CSV_HEADER, zip(sizes, counts))
+    write_table(path, TREE_CSV_HEADER, zip(sizes, counts))
 
 
 def read_tree_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    with open(path, newline="") as fh:
-        rows = read_table(fh, TREE_CSV_HEADER)
+    rows = read_table(path, TREE_CSV_HEADER)
     return (np.asarray([int(s) for s, _ in rows], dtype=np.int64),
             np.asarray([int(c) for _, c in rows], dtype=np.int64))

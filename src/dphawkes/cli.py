@@ -10,8 +10,10 @@ non-private limit) and an infinite --threshold are accepted.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
+import secrets
 import sys
 
 from .branching import tree_sizes, write_tree_csv
@@ -132,18 +134,19 @@ def _write_result_csv(path, result: EstimateResult | None, err_mu, err_alpha) ->
         row = [False if key == "converged" else None for key in RESULT_CSV_HEADER]
     else:
         row = [getattr(result, key) for key in RESULT_CSV_HEADER[:11]] + [err_mu, err_alpha]
-    with open(path, "w", newline="") as fh:
-        write_table(fh, RESULT_CSV_HEADER, [row])
+    write_table(path, RESULT_CSV_HEADER, [row])
 
 
 def cmd_estimate(args) -> int:
-    """estimate, or privatize when args.eps_required (then --epsilon is needed)."""
+    """estimate, or privatize: the release draws its noise from the given seed,
+    else from fresh entropy, never from the default seed."""
     config, given = _config_from_args(args)
-    if args.eps_required and args.epsilon is None:
-        raise ConfigError("--epsilon is required for privatize")
-    b_mode = check_b_mode(args.b)
-    budget = (None if args.epsilon is None
-              else PrivacyBudget(epsilon=args.epsilon / 2.0, gamma=config.gamma))
+    budget = None
+    if args.command == "privatize":
+        if args.epsilon is None:
+            raise ConfigError("--epsilon is required for privatize")
+        b_mode = check_b_mode(args.b)
+        budget = PrivacyBudget(epsilon=args.epsilon / 2.0, gamma=config.gamma)
     events = _load_events(args, config)
     if not len(events):
         raise ValueError(f"{args.input}: the file holds no events")
@@ -156,16 +159,16 @@ def cmd_estimate(args) -> int:
     try:
         if budget is not None:
             spec = SensitivitySpec.for_b_mode(config.bounds, config.gamma, b_mode)
-            result = private_estimate(series, config.bounds, spec, budget, config.seed)
+            seed = config.seed if "seed" in given else secrets.randbits(128)
+            result = private_estimate(series, config.bounds, spec, budget, seed)
             print(f"private stats: eta_hat={result.eta_hat:.6g} "
                   f"sigma_sq_hat={result.sigma_sq_hat:.6g} (total budget {args.epsilon:g})")
         else:
             result = estimate(series, config.bounds)
-    except (NonConvergence, HorizonTooShort) as exc:
-        print(f"estimation failed: {exc}", file=sys.stderr)
+    except (NonConvergence, HorizonTooShort):
         if args.out:
             _write_result_csv(args.out, None, None, None)
-        return EXIT_ESTIMATION
+        raise
 
     err_mu = err_alpha = None
     truth_given = "mu" in given and "alpha" in given
@@ -225,9 +228,11 @@ def cmd_complexity(args) -> int:
               else PrivacyBudget(epsilon=args.epsilon / 2.0, gamma=config.gamma))
     if args.private and budget is None:
         raise ConfigError("--epsilon is required for the private bound")
-    if not args.private and (budget is not None or b_mode != "auto"):
-        raise ConfigError("--epsilon and --b apply to the private bound only; add --private")
+    if not args.private and (budget is not None or b_mode != "auto" or args.c is not None):
+        raise ConfigError("--epsilon, --b and --c apply to the private bound only; add --private")
     eta4 = args.eta4
+    if eta4 is not None and args.eta4_bins is not None:
+        raise ConfigError("--eta4_bins estimates eta4 when --eta4 is absent; give one of them")
     if eta4 is None:
         if args.eta4_bins is None:
             raise ConfigError("either --eta4 or --eta4_bins is required")
@@ -274,10 +279,13 @@ def cmd_ingest(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # flags must be spelled in full: a prefix would silently name another flag
     parser = argparse.ArgumentParser(
-        prog="dphawkes",
+        prog="dphawkes", allow_abbrev=False,
         description="Hawkes simulation, moment estimation, and private release")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        parser_class=functools.partial(argparse.ArgumentParser, allow_abbrev=False))
 
     p = sub.add_parser("simulate", help="simulate an event sequence to CSV")
     _add_config_flags(p)
@@ -286,16 +294,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--warmup", type=float, default=None)
     p.set_defaults(func=cmd_simulate)
 
-    for name, eps_required in (("estimate", False), ("privatize", True)):
+    for name in ("estimate", "privatize"):
         p = sub.add_parser(name, help=f"{name} parameters from an events CSV")
         _add_config_flags(p)
         p.add_argument("input", help="events CSV (header timestamp,tree_id,parent_idx)")
-        p.add_argument("--epsilon", type=float, default=None,
-                       help="total privacy budget (halved per statistic)")
-        p.add_argument("--b", default="10",
-                       help="maximum tree size, or 'auto' for relation-unaware")
+        if name == "privatize":
+            p.add_argument("--epsilon", type=float, default=None,
+                           help="total privacy budget (halved per statistic)")
+            p.add_argument("--b", default="10",
+                           help="maximum tree size, or 'auto' for relation-unaware")
         p.add_argument("--out", help="write a one-row result CSV here")
-        p.set_defaults(func=cmd_estimate, eps_required=eps_required)
+        p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("sweep", help="privacy-utility sweep over (epsilon, B)")
     _add_config_flags(p)

@@ -233,15 +233,13 @@ def eta4_monte_carlo(params: HawkesParams, delta: float, num_bins: int,
 
 
 def write_complexity_csv(report: ComplexityReport, path) -> None:
-    with open(path, "w", newline="") as fh:
-        write_table(fh, COMPLEXITY_CSV_HEADER,
-                    ((label, value, label == report.binding_term)
-                     for label, value in report.all_terms))
+    write_table(path, COMPLEXITY_CSV_HEADER,
+                ((label, value, label == report.binding_term)
+                 for label, value in report.all_terms))
 
 
 def read_complexity_csv(path) -> ComplexityReport:
-    with open(path, newline="") as fh:
-        rows = read_table(fh, COMPLEXITY_CSV_HEADER)
+    rows = read_table(path, COMPLEXITY_CSV_HEADER)
     terms = [(label, float(value)) for label, value, _ in rows]
     binding = next((label for label, _, flag in reversed(rows) if flag == "1"), None)
     if binding is None:

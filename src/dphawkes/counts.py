@@ -8,9 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .events import EventSequence
-from .tables import read_table, write_table
 
-COUNTS_HEADER = ("bin_index", "count")
 MAX_BINS = 10**8  # 800 MB of int64 counts
 BIN_BLOCK = 1 << 16  # timestamps binned per slice, bounding the temporaries
 
@@ -98,22 +96,3 @@ def sample_stats(series: CountSeries) -> SampleStats:
     sigma_sq_hat = float(c.var(ddof=1))
     return SampleStats(eta_hat=eta_hat, sigma_sq_hat=sigma_sq_hat, k=series.k)
 
-
-def write_counts_csv(series: CountSeries, path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# delta={series.delta:.17g} horizon={series.horizon:.17g}\n")
-        write_table(fh, COUNTS_HEADER, enumerate(series.counts))
-
-
-def read_counts_csv(path) -> CountSeries:
-    with open(path, newline="") as fh:
-        meta = fh.readline().strip()
-        if not meta.startswith("#"):
-            raise ValueError(f"{path}: missing metadata line")
-        fields = dict(tok.split("=", 1) for tok in meta[1:].split())
-        delta = float(fields["delta"])
-        horizon = float(fields["horizon"])
-        rows = read_table(fh, COUNTS_HEADER)
-    if [int(i) for i, _ in rows] != list(range(len(rows))):
-        raise ValueError(f"{path}: bin indices must be consecutive from 0")
-    return CountSeries(np.asarray([int(c) for _, c in rows], dtype=np.int64), delta, horizon)

@@ -222,41 +222,34 @@ def run_time_to_threshold(config: ExperimentConfig, threshold: float,
 
 
 def write_sweep_csv(records: list[SweepRecord], path) -> None:
-    with open(path, "w", newline="") as fh:
-        write_table(fh, SWEEP_CSV_HEADER,
-                    ([getattr(r, k) for k in SWEEP_CSV_HEADER] for r in records))
+    write_table(path, SWEEP_CSV_HEADER,
+                ([getattr(r, k) for k in SWEEP_CSV_HEADER] for r in records))
 
 
 def read_sweep_csv(path) -> list[SweepRecord]:
-    with open(path, newline="") as fh:
-        rows = read_table(fh, SWEEP_CSV_HEADER)
+    rows = read_table(path, SWEEP_CSV_HEADER)
     return [SweepRecord(float(eps), b_mode, int(rep), int(seed), *map(opt_float, estimates),
                         bool(int(ok)), float(wall_ms))
             for eps, b_mode, rep, seed, *estimates, ok, wall_ms in rows]
 
 
 def write_summary_csv(rows: list[dict], path) -> None:
-    with open(path, "w", newline="") as fh:
-        write_table(fh, SUMMARY_CSV_HEADER,
-                    ([row[k] for k in SUMMARY_CSV_HEADER] for row in rows))
+    write_table(path, SUMMARY_CSV_HEADER, ([row[k] for k in SUMMARY_CSV_HEADER] for row in rows))
 
 
 def read_summary_csv(path) -> list[dict]:
-    with open(path, newline="") as fh:
-        rows = read_table(fh, SUMMARY_CSV_HEADER)
+    rows = read_table(path, SUMMARY_CSV_HEADER)
     return [{"epsilon": float(eps), "b_mode": b_mode, "n": int(n), "n_converged": int(n_ok),
              **{k: opt_float(v) for k, v in zip(SUMMARY_CSV_HEADER[4:], rest)}}
             for eps, b_mode, n, n_ok, *rest in rows]
 
 
 def write_threshold_csv(cells: list[ThresholdCell], path) -> None:
-    with open(path, "w", newline="") as fh:
-        write_table(fh, TTT_CSV_HEADER, ([getattr(c, k) for k in TTT_CSV_HEADER] for c in cells))
+    write_table(path, TTT_CSV_HEADER, ([getattr(c, k) for k in TTT_CSV_HEADER] for c in cells))
 
 
 def read_threshold_csv(path) -> list[ThresholdCell]:
-    with open(path, newline="") as fh:
-        rows = read_table(fh, TTT_CSV_HEADER)
+    rows = read_table(path, TTT_CSV_HEADER)
     return [ThresholdCell(epsilon=float(eps), b_mode=b_mode, required_t=opt_float(t),
                           capped=bool(int(capped)), median_err_alpha=opt_float(median))
             for eps, b_mode, t, capped, median in rows]

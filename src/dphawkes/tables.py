@@ -21,22 +21,24 @@ def opt_float(field: str) -> float | None:
     return float(field) if field else None
 
 
-def write_table(fh, header, rows) -> None:
-    fh.write(",".join(header) + "\n")
-    fh.writelines(",".join(map(cell, row)) + "\n" for row in rows)
+def write_table(path, header, rows) -> None:
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(map(cell, row)) + "\n" for row in rows)
 
 
-def read_table(fh, header) -> list[list[str]]:
+def read_table(path, header) -> list[list[str]]:
     """The rows after a checked header line, as fields; blank lines are skipped."""
-    if tuple(fh.readline().strip().split(",")) != tuple(header):
-        raise ValueError(f"{fh.name}: expected header {','.join(header)}")
-    rows = []
-    for line in fh:
-        row = line.strip().split(",")
-        if row == [""]:
-            continue
-        if len(row) != len(header):
-            raise ValueError(f"{fh.name}: row {len(rows) + 1} has {len(row)} fields, "
-                             f"expected {len(header)}")
-        rows.append(row)
+    with open(path, newline="") as fh:
+        if tuple(fh.readline().strip().split(",")) != tuple(header):
+            raise ValueError(f"{path}: expected header {','.join(header)}")
+        rows = []
+        for line in fh:
+            row = line.strip().split(",")
+            if row == [""]:
+                continue
+            if len(row) != len(header):
+                raise ValueError(f"{path}: row {len(rows) + 1} has {len(row)} fields, "
+                                 f"expected {len(header)}")
+            rows.append(row)
     return rows

@@ -60,7 +60,7 @@ def test_estimate_with_privacy_budget(tmp_path, capsys):
     run("simulate", "--mu", "1", "--alpha", "0.5", "--horizon", "100000",
         "--seed", "4", "--out_dir", str(tmp_path), "--out", str(out))
     result = tmp_path / "result.csv"
-    code = run("estimate", str(out), "--epsilon", "10", "--b", "10",
+    code = run("privatize", str(out), "--epsilon", "10", "--b", "10", "--seed", "12345",
                "--out_dir", str(tmp_path), "--out", str(result))
     assert code == EXIT_OK
     header, row = result.read_text().splitlines()
@@ -95,8 +95,36 @@ def test_privatize_requires_epsilon(tmp_path):
     run("simulate", "--mu", "1", "--alpha", "0.5", "--horizon", "5000",
         "--seed", "4", "--out_dir", str(tmp_path), "--out", str(path))
     assert run("privatize", str(path), "--out_dir", str(tmp_path)) == EXIT_CONFIG
-    assert run("privatize", str(path), "--epsilon", "5",
+    assert run("privatize", str(path), "--epsilon", "5", "--seed", "12345",
                "--out_dir", str(tmp_path)) == EXIT_OK
+
+
+def _result_row(path) -> dict:
+    header, row = path.read_text().splitlines()
+    return dict(zip(header.split(","), row.split(",")))
+
+
+def test_unseeded_release_draws_fresh_noise(tmp_path):
+    # the default seed is public: noise drawn from it could be subtracted again
+    events = tmp_path / "ev.csv"
+    run("simulate", "--mu", "1", "--alpha", "0.5", "--horizon", "100000",
+        "--seed", "4", "--out_dir", str(tmp_path), "--out", str(events))
+    release = ("privatize", str(events), "--epsilon", "1", "--b", "10", "--out_dir", str(tmp_path))
+    out = {name: tmp_path / f"{name}.csv" for name in ("exact", "a", "b", "s1", "s2")}
+    assert run("estimate", str(events), "--out_dir", str(tmp_path),
+               "--out", str(out["exact"])) == EXIT_OK
+    for name in ("a", "b"):
+        assert run(*release, "--out", str(out[name])) == EXIT_OK
+    for name in ("s1", "s2"):
+        assert run(*release, "--seed", "12345", "--out", str(out[name])) == EXIT_OK
+    assert out["s1"].read_bytes() == out["s2"].read_bytes()
+    assert out["a"].read_bytes() != out["b"].read_bytes()
+    exact, seeded = _result_row(out["exact"]), _result_row(out["s1"])
+    for name in ("a", "b"):
+        row = _result_row(out[name])
+        for key in ("eta_hat", "sigma_sq_hat"):
+            noise = float(seeded[key]) - float(exact[key])
+            assert float(row[key]) - noise != float(exact[key])
 
 
 def test_privatize_nonpositive_private_mean_exits_estimation(tmp_path, capsys):

@@ -8,10 +8,12 @@ is returned by main. An accepted value runs to the end, so the base arguments
 keep each run small: horizon 1000, one repetition, one epsilon, one B, and a
 time-to-threshold threshold that the first probe meets.
 """
+import argparse
+
 import pytest
 
 from dphawkes.cli import (EXIT_ALL_FAILED, EXIT_CONFIG, EXIT_ESTIMATION, EXIT_IO,
-                          EXIT_OK, main)
+                          EXIT_OK, build_parser, main)
 from dphawkes.config import CONFIG_KEYS
 
 VALUES = ("nan", "inf", "-inf", "0", "-1", "1e300", "", "abc")
@@ -19,7 +21,7 @@ VALUES = ("nan", "inf", "-inf", "0", "-1", "1e300", "", "abc")
 BASE = {
     "simulate": ("simulate", "--horizon", "1000", "--seed", "1"),
     "estimate": ("estimate", "{events}"),
-    "privatize": ("privatize", "{events}", "--epsilon", "10", "--b", "10"),
+    "privatize": ("privatize", "{events}", "--epsilon", "10", "--b", "10", "--seed", "12345"),
     "sweep": ("sweep", "--horizon", "1000", "--repetitions", "1", "--epsilons", "10",
               "--b_values", "10", "--seed", "2"),
     "time-to-threshold": ("time-to-threshold", "--repetitions", "1", "--epsilons", "10",
@@ -34,7 +36,7 @@ BASE = {
 
 CLI_FLAGS = {
     "simulate": ("warmup",),
-    "estimate": ("epsilon", "b"),
+    "estimate": (),
     "privatize": ("epsilon", "b"),
     "sweep": ("workers",),
     "time-to-threshold": ("threshold", "t_min", "t_max"),
@@ -42,6 +44,18 @@ CLI_FLAGS = {
                    "epsilon", "b"),
     "tree-stats": (),
     "ingest": ("scale",),
+}
+
+# The flags that take no number: a file, a switch or a fixed choice.
+UNVALUED_FLAGS = {
+    "simulate": ("out", "algorithm"),
+    "estimate": ("out",),
+    "privatize": ("out",),
+    "sweep": (),
+    "time-to-threshold": (),
+    "complexity": ("private", "constants", "out"),
+    "tree-stats": ("out",),
+    "ingest": ("out",),
 }
 
 # Every case not listed here is refused with exit 2. Listed: (flag, value) ->
@@ -79,6 +93,16 @@ NOT_REFUSED = {
 
 CASES = [(command, flag) for command in BASE
          for flag in (*(k for k in CONFIG_KEYS if k != "out_dir"), *CLI_FLAGS[command])]
+
+
+def test_value_table_names_every_flag():
+    commands = next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    assert set(commands) == set(BASE)
+    for command, parser in commands.items():
+        defined = {s[2:] for a in parser._actions for s in a.option_strings if s[:2] == "--"}
+        assert defined == {"help", "config", *CONFIG_KEYS, *CLI_FLAGS[command],
+                           *UNVALUED_FLAGS[command]}, command
 
 
 def expected_code(command, flag, value):
@@ -136,10 +160,31 @@ COMPLEXITY_NONPRIVATE = ("complexity", "--xi", "40", "--delta_prob", "0.05",
 @pytest.mark.parametrize("flags", [("--epsilon", "nan"), ("--epsilon", "0"), ("--b", "abc"),
                                    ("--b", "0"), ("--epsilon", "nan", "--b", "abc"),
                                    ("--epsilon", "1", "--b", "10"), ("--epsilon", "1"),
-                                   ("--b", "10")])
+                                   ("--b", "10"), ("--c", "1"), ("--c", "nan"),
+                                   ("--epsilon", "1", "--b", "10", "--c", "1")])
 def test_complexity_checks_budget_flags_without_private(flags, capsys):
     code, err, how = _outcome([*COMPLEXITY_NONPRIVATE, *flags], capsys)
     assert (code, how, len(err)) == (EXIT_CONFIG, "returned", 1), err
+
+
+def test_complexity_refuses_eta4_bins_beside_eta4(capsys):
+    # the Monte-Carlo bins were ignored when eta4 itself was given
+    code, err, how = _outcome([*COMPLEXITY_NONPRIVATE, "--eta4_bins", "1000"], capsys)
+    assert (code, how, len(err)) == (EXIT_CONFIG, "returned", 1), err
+
+
+# a prefix named another flag: --epsilon became --epsilons, --alpha_u became --alpha_upper
+@pytest.mark.parametrize("argv", [
+    ("estimate", "{events}", "--epsilon", "10", "--b", "10"),
+    ("sweep", "--horizon", "1000", "--repetitions", "1", "--epsilon", "1", "--b_values", "10"),
+    ("simulate", "--horizon", "1000", "--alpha_u", "0.9"),
+], ids=["estimate", "sweep", "simulate"])
+def test_flags_must_be_spelled_in_full(argv, inputs, capsys):
+    code, err, how = _outcome([*(arg.format(**inputs) for arg in argv),
+                               "--out_dir", inputs["out_dir"]], capsys)
+    assert (code, how) == (EXIT_CONFIG, "SystemExit")
+    assert [line for line in err if "error:" in line] == [err[-1]]
+    assert err[-1].startswith("dphawkes: error: unrecognized arguments: --")
 
 
 def test_complexity_refuses_more_eta4_bins_than_a_series_may_hold(capsys):

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from dphawkes import (CountSeries, EventSequence, HawkesParams, bin_events,
                       sample_stats, simulate_thinning, theoretical_moments)
-from dphawkes.counts import BIN_BLOCK, bin_times, read_counts_csv, write_counts_csv
+from dphawkes.counts import BIN_BLOCK, bin_times
 
 
 def test_bin_events_example():
@@ -158,16 +158,6 @@ def test_sum_counts_equals_events_in_window():
     series = bin_events(seq, 7.0)
     in_window = (seq.timestamps < series.horizon).sum()
     assert series.counts.sum() == in_window
-
-
-def test_counts_csv_round_trip(tmp_path):
-    series = CountSeries(np.array([3, 1, 4, 1, 5]), 2.0, 10.0)
-    path = tmp_path / "counts.csv"
-    write_counts_csv(series, path)
-    back = read_counts_csv(path)
-    assert back.delta == series.delta
-    assert back.horizon == series.horizon
-    np.testing.assert_array_equal(back.counts, series.counts)
 
 
 def test_more_bins_than_a_series_may_hold_is_refused():

@@ -1,4 +1,4 @@
-"""Byte-exact goldens for the seven record tables, and their readers' checks.
+"""Byte-exact goldens for the six record tables, and their readers' checks.
 
 Each writer gets a tiny fixed input covering the format's cases: a None
 field (empty), a bool (0/1), epsilon = inf, a float that needs 17
@@ -12,7 +12,6 @@ import pytest
 from dphawkes import cli
 from dphawkes.branching import TreeStats, read_tree_csv, write_tree_csv
 from dphawkes.complexity import ComplexityReport, read_complexity_csv, write_complexity_csv
-from dphawkes.counts import CountSeries, read_counts_csv, write_counts_csv
 from dphawkes.estimator import EstimateResult
 from dphawkes.experiments import (SweepRecord, ThresholdCell, read_summary_csv,
                                   read_sweep_csv, read_threshold_csv, write_summary_csv,
@@ -50,7 +49,6 @@ PRIVATE_RESULT = EstimateResult(
 PLAIN_RESULT = EstimateResult(
     mu_hat=1.0, alpha_hat=0.25, eta_hat=5.0, sigma_sq_hat=9.5, converged=True,
     iterations=3, residual=0.0, boundary="lower")
-COUNTS = CountSeries(np.array([3, 0, 12], dtype=np.int32), 0.1, THIRD)
 TREES = TreeStats(sizes=np.array([1, 3, 1, 7, 1, 3]), num_trees=6, horizon=10.0)
 REPORT = ComplexityReport(required_T=2.5e7, binding_term="variance",
                           all_terms=[("mean", THIRD), ("variance", 2.5e7),
@@ -85,9 +83,6 @@ GOLDEN = {
                      RESULT_HEADER + b"1,0.25,5,9.5,1,3,0,lower,,,,0.5,0.125\n"),
     "result_failed": (lambda p: cli._write_result_csv(p, None, None, None),
                       RESULT_HEADER + b",,,,0,,,,,,,,\n"),
-    "counts": (lambda p: write_counts_csv(COUNTS, p),
-               b"# delta=0.10000000000000001 horizon=0.30000000000000004\n"
-               b"bin_index,count\n0,3\n1,0\n2,12\n"),
     "trees": (lambda p: write_tree_csv(TREES, p),
               b"tree_size,count\n1,3\n3,2\n7,1\n"),
     "complexity": (lambda p: write_complexity_csv(REPORT, p),
@@ -99,7 +94,6 @@ READERS = {
     "sweep": read_sweep_csv,
     "summary": read_summary_csv,
     "threshold": read_threshold_csv,
-    "counts": read_counts_csv,
     "trees": read_tree_csv,
     "complexity": read_complexity_csv,
 }
@@ -119,24 +113,16 @@ def test_tables_read_back(tmp_path):
     assert read_sweep_csv(tmp_path / "sweep.csv") == SWEEP
     assert read_summary_csv(tmp_path / "summary.csv") == SUMMARY
     assert read_threshold_csv(tmp_path / "threshold.csv") == THRESHOLD
-    series = read_counts_csv(tmp_path / "counts.csv")
-    assert (series.delta, series.horizon) == (COUNTS.delta, COUNTS.horizon)
-    np.testing.assert_array_equal(series.counts, COUNTS.counts)
     sizes, counts = read_tree_csv(tmp_path / "trees.csv")
     np.testing.assert_array_equal(sizes, [1, 3, 7])
     np.testing.assert_array_equal(counts, [3, 2, 1])
     assert read_complexity_csv(tmp_path / "complexity.csv") == REPORT
 
 
-def _header_line(lines: list[bytes]) -> int:
-    return 1 if lines[0].startswith(b"#") else 0
-
-
 @pytest.mark.parametrize("name", sorted(READERS))
 def test_wrong_header_raises(tmp_path, name):
     lines = GOLDEN[name][1].splitlines(keepends=True)
-    i = _header_line(lines)
-    lines[i] = b"x" + lines[i]
+    lines[0] = b"x" + lines[0]
     path = tmp_path / f"{name}.csv"
     path.write_bytes(b"".join(lines))
     with pytest.raises(ValueError, match="expected header"):
@@ -147,10 +133,9 @@ def test_wrong_header_raises(tmp_path, name):
 @pytest.mark.parametrize("name", sorted(READERS))
 def test_wrong_field_count_raises(tmp_path, name, change):
     lines = GOLDEN[name][1].splitlines(keepends=True)
-    row = _header_line(lines) + 1
-    fields = lines[row].rstrip(b"\n").split(b",")
+    fields = lines[1].rstrip(b"\n").split(b",")
     fields = fields[:-1] if change == "short" else fields + [b"1"]
-    lines[row] = b",".join(fields) + b"\n"
+    lines[1] = b",".join(fields) + b"\n"
     path = tmp_path / f"{name}.csv"
     path.write_bytes(b"".join(lines))
     with pytest.raises(ValueError, match=path.name):
