@@ -4,6 +4,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import ConfigError
 from .hawkes import HawkesParams, ParamBounds
@@ -97,7 +98,7 @@ class ExperimentConfig:
             raise ConfigError("either (mu, alpha) or a dataset path is required")
         return HawkesParams(self.mu, self.alpha)
 
-    @property
+    @cached_property
     def bounds(self) -> ParamBounds:
         return ParamBounds(self.mu_lower, self.mu_upper, self.alpha_lower, self.alpha_upper)
 
@@ -141,12 +142,8 @@ def parse_config_file(path) -> dict:
     return values
 
 
-def load_config(path=None, **overrides) -> ExperimentConfig:
-    """Configuration from an optional file plus identically named overrides."""
-    values = parse_config_file(path) if path else {}
-    for key, val in overrides.items():
-        if val is not None:
-            values[key] = val
+def load_config(**values) -> ExperimentConfig:
+    """The configuration from identically named values; an unknown name is a ConfigError."""
     try:
         return ExperimentConfig(**values)
     except TypeError as exc:

@@ -4,6 +4,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -36,6 +37,11 @@ class CountSeries:
     @property
     def k(self) -> int:
         return int(self.counts.size)
+
+    @cached_property
+    def stats(self) -> SampleStats:
+        """The sample statistics, computed on first use and kept: counts must not change."""
+        return SampleStats(float(self.counts.mean()), float(self.counts.var(ddof=1)), self.k)
 
 
 @dataclass(frozen=True)
@@ -91,8 +97,5 @@ def bin_times(parts: Iterable[np.ndarray], horizon: float, delta: float) -> Coun
 
 
 def sample_stats(series: CountSeries) -> SampleStats:
-    c = series.counts
-    eta_hat = float(c.mean())
-    sigma_sq_hat = float(c.var(ddof=1))
-    return SampleStats(eta_hat=eta_hat, sigma_sq_hat=sigma_sq_hat, k=series.k)
+    return series.stats
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .counts import CountSeries, sample_stats
 from .errors import NonConvergence
-from .hawkes import HawkesParams, ParamBounds, theoretical_moments
+from .hawkes import HawkesParams, ParamBounds, bin_variance, theoretical_moments
 
 # Fixed solver tolerances: far below Monte-Carlo noise at every relevant scale.
 _RESIDUAL_RTOL = 1e-10
@@ -42,11 +42,6 @@ class EstimateResult:
         return abs(self.mu_hat - mu) / mu, abs(self.alpha_hat - alpha) / alpha
 
 
-def _variance_at(eta_hat: float, alpha: float, delta: float) -> float:
-    mu = eta_hat * (1.0 - alpha) / delta
-    return theoretical_moments(HawkesParams(mu, alpha), delta).sigma_sq
-
-
 def invert_moments(eta_hat: float, sigma_sq_hat: float, delta: float,
                    bounds: ParamBounds) -> EstimateResult:
     """Find alpha_hat in the prior bracket, then mu_hat from the mean equation.
@@ -66,10 +61,11 @@ def invert_moments(eta_hat: float, sigma_sq_hat: float, delta: float,
     hi = bounds.alpha_upper
 
     def g(alpha: float) -> float:
-        return _variance_at(eta_hat, alpha, delta) - sigma_sq_hat
+        return bin_variance(eta_hat * (1.0 - alpha) / delta, alpha, delta) - sigma_sq_hat
 
-    g_lo = g(lo)
-    g_hi = g(hi)
+    # mu(alpha) falls with alpha, so valid params at both ends make every step's valid.
+    g_lo, g_hi = (theoretical_moments(HawkesParams(eta_hat * (1.0 - a) / delta, a),
+                                      delta).sigma_sq - sigma_sq_hat for a in (lo, hi))
     tol = _RESIDUAL_RTOL * abs(sigma_sq_hat)
 
     def result(alpha: float, iters: int, res: float, boundary: str | None) -> EstimateResult:
@@ -111,6 +107,6 @@ def invert_moments(eta_hat: float, sigma_sq_hat: float, delta: float,
 
 
 def estimate(series: CountSeries, bounds: ParamBounds) -> EstimateResult:
-    """sample_stats followed by invert_moments."""
+    """invert_moments on the series' statistics."""
     stats = sample_stats(series)
     return invert_moments(stats.eta_hat, stats.sigma_sq_hat, series.delta, bounds)

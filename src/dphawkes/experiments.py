@@ -11,6 +11,7 @@ pure function of the base seed.
 """
 from __future__ import annotations
 
+import functools
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -19,10 +20,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import ExperimentConfig, delta_from_rule
-# sample_stats, invert_moments, privatize_stats, the sensitivity helpers and
-# simulate_branching are unused here, and bin_events serves only the dataset
-# path, but they stay bound: the traced benchmark (perfbench/spans.py) wraps
-# them by module attribute. Simulated series come from branching_counts.
+# invert_moments, privatize_stats, the sensitivity helpers and simulate_branching are unused
+# here, and bin_events serves only the dataset path, but they stay bound: the traced benchmark
+# (perfbench/spans.py) wraps them by module attribute. Simulated series come from branching_counts.
 from .counts import CountSeries, bin_count, bin_events, sample_stats
 from .errors import ConfigError, HorizonTooShort, NonConvergence
 from .estimator import EstimateResult, estimate, invert_moments
@@ -58,10 +58,15 @@ class SweepRecord:
     wall_ms: float
 
 
-def _release(config: ExperimentConfig, series: CountSeries, eps_total: float, b_mode: str,
-             seed: int) -> EstimateResult | None:
+def _specs(config: ExperimentConfig) -> dict[str, SensitivitySpec]:
+    """The sensitivity spec of each B label, built once per run."""
+    return {b_mode: SensitivitySpec.for_b_mode(config.bounds, config.gamma, b_mode)
+            for b_mode in config.b_values}
+
+
+def _release(config: ExperimentConfig, series: CountSeries, eps_total: float,
+             spec: SensitivitySpec, seed: int) -> EstimateResult | None:
     """The private estimate of one (epsilon, B) cell, or None when it fails."""
-    spec = SensitivitySpec.for_b_mode(config.bounds, config.gamma, b_mode)
     budget = PrivacyBudget(epsilon=eps_total / 2.0, gamma=config.gamma)
     try:
         return private_estimate(series, config.bounds, spec, budget, seed)
@@ -78,31 +83,36 @@ def _record(epsilon: float, b_mode: str, rep: int, seed: int, result: EstimateRe
                        *result.normalized_errors(*truth), True, wall_ms)
 
 
-def _sweep_rep(config: ExperimentConfig, rep: int,
-               fixed_series: CountSeries | None) -> list[SweepRecord]:
+def _baseline(config: ExperimentConfig, series: CountSeries) -> tuple[EstimateResult, float]:
+    """The non-private estimate and its wall time in ms. The series' statistics
+    are computed first, outside the time of every row that reads them."""
+    sample_stats(series)
+    t0 = time.perf_counter()
+    return estimate(series, config.bounds), (time.perf_counter() - t0) * 1000.0
+
+
+def _sweep_rep(config: ExperimentConfig, specs: dict[str, SensitivitySpec],
+               fixed: tuple[CountSeries, EstimateResult, float] | None,
+               rep: int) -> list[SweepRecord]:
     """All records for one repetition: one privatized row per (epsilon, b_mode)
-    cell in grid order, then the baseline row of the shared series."""
-    if fixed_series is None:
+    cell in grid order, then the baseline row of the shared series. fixed is a
+    dataset's series with its baseline, estimated once for every repetition."""
+    if fixed is None:
         sim_seed = derived_seed(config.seed, 0, rep)
         series = branching_counts(config.params, config.horizon, sim_seed, config.delta)
+        base, base_ms = _baseline(config, series)
+        truth = (config.mu, config.alpha)
     else:
         sim_seed = derived_seed(config.seed, 0, 0)
-        series = fixed_series
-
-    t0 = time.perf_counter()
-    base = estimate(series, config.bounds)
-    base_ms = (time.perf_counter() - t0) * 1000.0
-    if config.dataset is not None:
+        series, base, base_ms = fixed
         truth = (base.mu_hat, base.alpha_hat)
-    else:
-        truth = (config.mu, config.alpha)
 
     records: list[SweepRecord] = []
     for ei, eps_total in enumerate(config.epsilons):
         for bi, b_mode in enumerate(config.b_values):
             cell_seed = derived_seed(config.seed, 1, rep, ei, bi)
             t0 = time.perf_counter()
-            result = _release(config, series, eps_total, b_mode, cell_seed)
+            result = _release(config, series, eps_total, specs[b_mode], cell_seed)
             records.append(_record(eps_total, b_mode, rep, cell_seed, result, truth,
                                    (time.perf_counter() - t0) * 1000.0))
     records.append(_record(math.inf, BASELINE_B_MODE, rep, sim_seed, base, truth, base_ms))
@@ -117,18 +127,18 @@ def run_sweep(config: ExperimentConfig, workers: int = 1) -> list[SweepRecord]:
     """
     if not workers >= 1:
         raise ConfigError(f"workers must be at least 1, got {workers}")
-    fixed_series: CountSeries | None = None
+    fixed = None
     if config.dataset is not None:
         events = ingest_timestamps(config.dataset)
-        fixed_series = bin_events(events, delta_from_rule(config.delta_mode, events.horizon))
+        series = bin_events(events, delta_from_rule(config.delta_mode, events.horizon))
+        fixed = (series, *_baseline(config, series))
+    job = functools.partial(_sweep_rep, config, _specs(config), fixed)
     reps = range(config.repetitions)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_rep = list(pool.map(_sweep_rep,
-                                    [config] * config.repetitions, reps,
-                                    [fixed_series] * config.repetitions))
+            per_rep = list(pool.map(job, reps))
     else:
-        per_rep = [_sweep_rep(config, rep, fixed_series) for rep in reps]
+        per_rep = list(map(job, reps))
     # each rep's list is the grid in order with its baseline last
     return [records[i] for i in range(len(per_rep[0])) for records in per_rep]
 
@@ -194,6 +204,7 @@ def run_time_to_threshold(config: ExperimentConfig, threshold: float,
     deltas = [delta_from_rule(config.delta_mode, horizon) for horizon in probes]
     bins = [bin_count(horizon, delta) for horizon, delta in zip(probes, deltas)]  # before simulating
     base = deltas[0] if len(set(deltas)) == 1 else float(math.gcd(*map(int, deltas)))
+    specs = _specs(config)
     fine = [branching_counts(config.params, t_max, derived_seed(config.seed, 3, rep), base).counts
             for rep in range(config.repetitions)]
 
@@ -211,7 +222,7 @@ def run_time_to_threshold(config: ExperimentConfig, threshold: float,
         for cell in pending:
             errs = []
             for series, noise_seed in reps:
-                result = _release(config, series, cell.epsilon, cell.b_mode, noise_seed)
+                result = _release(config, series, cell.epsilon, specs[cell.b_mode], noise_seed)
                 errs.append(math.inf if result is None
                             else result.normalized_errors(config.mu, config.alpha)[1])
             median = float(np.median(errs))

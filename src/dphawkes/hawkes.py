@@ -73,17 +73,19 @@ def intensity_at(params: HawkesParams, events: EventSequence, t: float) -> float
     return params.mu + params.alpha * float(np.exp(-(t - past)).sum())
 
 
-def theoretical_moments(params: HawkesParams, delta: float) -> TheoreticalMoments:
-    """Stationary bin-count mean and variance for bin width delta.
+def bin_variance(mu: float, alpha: float, delta: float) -> float:
+    """Stationary bin-count variance from plain floats, unchecked: lam_inf*delta/q**2
+    - lam_inf*alpha*(2-alpha)*(1-exp(-q*delta))/q**3, where q = 1-alpha, lam_inf = mu/q."""
+    q = 1.0 - alpha
+    return mu / q * (delta + alpha * (2.0 - alpha) * math.expm1(-q * delta) / q) / q**2
 
-    Var = lam_inf*delta/q**2 - lam_inf*alpha*(2-alpha)*(1-exp(-q*delta))/q**3, q = 1-alpha.
-    """
+
+def theoretical_moments(params: HawkesParams, delta: float) -> TheoreticalMoments:
+    """Stationary bin-count mean and variance (bin_variance) for bin width delta."""
     if not delta > 0:
         raise ValueError("delta must be positive")
-    a, q = params.alpha, 1.0 - params.alpha
-    lam_inf = params.mu / q
-    sigma_sq = lam_inf * (delta + a * (2.0 - a) * math.expm1(-q * delta) / q) / q**2
-    return TheoreticalMoments(eta=lam_inf * delta, sigma_sq=sigma_sq, delta=delta)
+    eta = params.mu / (1.0 - params.alpha) * delta
+    return TheoreticalMoments(eta, bin_variance(params.mu, params.alpha, delta), delta)
 
 
 def transient_moments(params: HawkesParams, lambda0: float, t: float) -> tuple[float, float]:

@@ -155,15 +155,15 @@ def privatize_stats(stats: SampleStats, spec: SensitivitySpec, budget: PrivacyBu
     if horizon < spec.min_horizon:
         raise HorizonTooShort(
             f"horizon {horizon:.6g} below relation-unaware threshold {spec.min_horizon:.6g}")
-    rng = as_generator(seed)
     mean_scale = mean_sensitivity(spec, stats.k, horizon) / budget.epsilon
     var_scale = variance_sensitivity(spec, stats.k, delta, horizon) / budget.epsilon
     if not (math.isfinite(mean_scale) and math.isfinite(var_scale)):
         raise ConfigError(f"Laplace scales {mean_scale:.6g} and {var_scale:.6g} are not both "
                           "finite: the prior box, gamma or epsilon is out of float range")
-    eta_priv = stats.eta_hat + laplace_sample(mean_scale, rng)
-    var_priv = stats.sigma_sq_hat + laplace_sample(var_scale, rng)
-    return SampleStats(eta_hat=eta_priv, sigma_sq_hat=var_priv, k=stats.k)
+    # Bit for bit two laplace_sample draws at the two scales: s*(-log x) == -s*log x.
+    mean_noise, var_noise = laplace_samples(1.0, seed, 2).tolist()
+    return SampleStats(eta_hat=stats.eta_hat + mean_scale * mean_noise,
+                       sigma_sq_hat=stats.sigma_sq_hat + var_scale * var_noise, k=stats.k)
 
 
 def private_estimate(series: CountSeries, bounds: ParamBounds, spec: SensitivitySpec,

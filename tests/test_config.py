@@ -61,7 +61,7 @@ def test_parse_config_file(tmp_path):
         "b_values = 10, auto\n"
         "delta_mode = log\n"
         "seed = 99\n")
-    cfg = load_config(path)
+    cfg = load_config(**parse_config_file(path))
     assert cfg.mu == 1.5
     assert cfg.alpha == 0.3
     assert cfg.epsilons == (0.5, 2.0, 10.0)
@@ -79,7 +79,7 @@ def test_unknown_key_rejected(tmp_path):
 def test_flag_overrides_file(tmp_path):
     path = tmp_path / "exp.cfg"
     path.write_text("mu = 1.5\nseed = 99\n")
-    cfg = load_config(path, mu=2.0)
+    cfg = load_config(**{**parse_config_file(path), "mu": 2.0})
     assert cfg.mu == 2.0
     assert cfg.seed == 99
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dphawkes import (CountSeries, HawkesParams, NonConvergence, ParamBounds,
+from dphawkes import (ConfigError, CountSeries, HawkesParams, NonConvergence, ParamBounds,
                       bin_events, branching_counts, estimate, invert_moments,
                       simulate_branching, theoretical_moments)
 
@@ -122,3 +122,22 @@ def test_non_finite_moments_never_converge(eta, var):
     # an infinite target once passed the edge test with tol = 1e-10*|var| = inf
     with pytest.raises(NonConvergence, match="not finite"):
         invert_moments(eta, var, 10.0, PAPER)
+
+
+def test_invert_builds_params_only_at_the_bracket_ends(monkeypatch):
+    m = theoretical_moments(HawkesParams(1.0, 0.5), 10.0)
+    built = []
+    check = HawkesParams.__post_init__
+    monkeypatch.setattr(HawkesParams, "__post_init__", lambda self: (built.append(self),
+                                                                      check(self)))
+    r = invert_moments(m.eta, m.sigma_sq * 1.01, 10.0, PAPER)
+    assert r.iterations > 20  # a bisection ran
+    assert [p.alpha for p in built] == [PAPER.alpha_lower, PAPER.alpha_upper]
+
+
+@pytest.mark.parametrize("eta, var, delta, got", [(1e308, 1.5e308, 1e-10, "inf"),
+                                                  (5e-324, 1e-323, 1e300, "0.0")])
+def test_invert_refuses_a_mean_out_of_float_range(eta, var, delta, got):
+    # mu(alpha) = eta*(1-alpha)/delta overflows or underflows at the bracket ends
+    with pytest.raises(ConfigError, match=rf"^mu must be positive and finite, got {got}$"):
+        invert_moments(eta, var, delta, PAPER)

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from dphawkes import (ConfigError, EventSequence, HawkesParams, ParamBounds,
                       intensity_at, simulate_branching, theoretical_moments,
                       transient_moments)
+from dphawkes.hawkes import bin_variance
 
 
 def test_params_validation():
@@ -82,6 +83,17 @@ def test_moments_positive(mu, alpha, delta):
     m = theoretical_moments(HawkesParams(mu, alpha), delta)
     assert m.eta > 0
     assert m.sigma_sq > 0
+
+
+@given(mu=st.floats(1e-3, 1e3), alpha=st.floats(1e-6, 0.999), delta=st.floats(1e-3, 1e4))
+def test_bin_variance_is_theoretical_moments_bit_for_bit(mu, alpha, delta):
+    # the one formula: the bisection's plain-float steps and the checked moments agree exactly,
+    # and both keep the rounding order lam_inf*(...)/q**2 with lam_inf = mu/q
+    sigma_sq = theoretical_moments(HawkesParams(mu, alpha), delta).sigma_sq
+    q = 1.0 - alpha
+    lam_inf = mu / q
+    assert bin_variance(mu, alpha, delta) == sigma_sq
+    assert sigma_sq == lam_inf * (delta + alpha * (2.0 - alpha) * math.expm1(-q * delta) / q) / q**2
 
 
 def test_transient_stationary_start_collapses():

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dphawkes import (HawkesParams, HorizonTooShort, ParamBounds, PrivacyBudget,
                       SampleStats, SensitivitySpec, bin_events, estimate,
@@ -185,6 +186,22 @@ def test_privatize_noise_distribution():
         for s in range(4000)])
     assert abs(diffs.var() - 2 * scale**2) / (2 * scale**2) < 0.1
     assert abs(float(np.mean(np.abs(diffs) >= scale * math.log(2))) - 0.5) < 0.03
+
+
+@settings(max_examples=300)
+@given(seed=st.integers(0, 2**64), b=st.sampled_from([0, 1, 10, 100, 10**6]),
+       epsilon=st.sampled_from([1e-3, 0.05, 1.0, 25.0, math.inf]))
+def test_privatize_is_two_successive_laplace_draws(seed, b, epsilon):
+    # one two-uniform draw scaled by (mean, variance) scale, bit for bit; b = 0 and
+    # epsilon = inf give scale 0
+    spec, budget = spec_aware(b), PrivacyBudget(epsilon=epsilon, gamma=GAMMA)
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    out = privatize_stats(_stats(), spec, budget, 10.0, 1e5, seed=rng)
+    eta = 20.0 + laplace_sample(mean_sensitivity(spec, 10000, 1e5) / epsilon, ref)
+    var = 66.0 + laplace_sample(variance_sensitivity(spec, 10000, 10.0, 1e5) / epsilon, ref)
+    assert (out.eta_hat, out.sigma_sq_hat) == (eta, var)
+    assert type(out.eta_hat) is float and type(out.sigma_sq_hat) is float
+    assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_privatize_unaware_requires_horizon():
