@@ -1,5 +1,9 @@
 """Command-line front end.
 
+Every subcommand takes --config, a flat key=value file that accepts every
+config key (one file serves a whole pipeline), --out_dir, and a flag for each
+config key it reads; any other config flag is an unrecognized argument.
+
 Exit codes: 0 success, 2 configuration error, 3 I/O or input-data error,
 4 estimation failure (non-convergence, a privatized mean at or below zero, or
 horizon below the relation-unaware threshold), 5 all sweep cells failed. Any
@@ -51,17 +55,19 @@ _FLAG_HELP = {"epsilons": "comma-separated total budgets",
               "delta_mode": "'log' or a fixed bin width"}
 
 
-def _add_config_flags(parser: argparse.ArgumentParser) -> None:
+def _add_config_flags(parser: argparse.ArgumentParser, *keys: str) -> None:
+    """--config (every key), --out_dir and a flag for each key the command reads."""
     parser.add_argument("--config", help="flat key=value configuration file")
     for key in CONFIG_KEYS:
-        parser.add_argument(f"--{key}", help=_FLAG_HELP.get(key))
+        if key in keys or key == "out_dir":
+            parser.add_argument(f"--{key}", help=_FLAG_HELP.get(key))
 
 
 def _config_from_args(args) -> tuple[ExperimentConfig, set]:
-    """The config from --config and the flags over it, and the keys given."""
+    """The config from --config and the command's flags over it, and the keys given."""
     flags = {}
     for key in CONFIG_KEYS:
-        if getattr(args, key) is not None:
+        if getattr(args, key, None) is not None:
             try:
                 flags[key] = parse_value(key, getattr(args, key))
             except ValueError as exc:
@@ -108,11 +114,11 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _load_events(args, config: ExperimentConfig):
-    """The input events; the horizon is --horizon, else the .meta file's, else
-    the last timestamp. A refusal caused by the .meta horizon names that file."""
+def _load_events(args, config: ExperimentConfig, given: set):
+    """The input events; the horizon is the given one (flag or file), else the
+    .meta file's, else the last timestamp. A .meta horizon's refusal names it."""
     path, meta_path = args.input, args.input + ".meta"
-    if args.horizon is not None:
+    if "horizon" in given:
         return read_events_csv(path, horizon=config.horizon)
     raw = _read_meta(meta_path).get("horizon") if os.path.exists(meta_path) else None
     if raw is None:
@@ -147,7 +153,7 @@ def cmd_estimate(args) -> int:
             raise ConfigError("--epsilon is required for privatize")
         b_mode = check_b_mode(args.b)
         budget = PrivacyBudget(epsilon=args.epsilon / 2.0, gamma=config.gamma)
-    events = _load_events(args, config)
+    events = _load_events(args, config, given)
     if not len(events):
         raise ValueError(f"{args.input}: the file holds no events")
     delta = delta_from_rule(config.delta_mode, events.horizon)
@@ -171,7 +177,7 @@ def cmd_estimate(args) -> int:
         raise
 
     err_mu = err_alpha = None
-    truth_given = "mu" in given and "alpha" in given
+    truth_given = "mu" in given or "alpha" in given
     if truth_given:
         err_mu, err_alpha = result.normalized_errors(config.mu, config.alpha)
     print(f"mu_hat={result.mu_hat:.6g} alpha_hat={result.alpha_hat:.6g}"
@@ -254,8 +260,8 @@ def cmd_complexity(args) -> int:
 
 
 def cmd_tree_stats(args) -> int:
-    config, _ = _config_from_args(args)
-    events = _load_events(args, config)
+    config, given = _config_from_args(args)
+    events = _load_events(args, config, given)
     try:
         stats = tree_sizes(events)
     except ValueError as exc:
@@ -283,20 +289,21 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dphawkes", allow_abbrev=False,
         description="Hawkes simulation, moment estimation, and private release")
+    box = ("mu_lower", "mu_upper", "alpha_lower", "alpha_upper")
     sub = parser.add_subparsers(
         dest="command", required=True,
         parser_class=functools.partial(argparse.ArgumentParser, allow_abbrev=False))
 
     p = sub.add_parser("simulate", help="simulate an event sequence to CSV")
-    _add_config_flags(p)
+    _add_config_flags(p, "mu", "alpha", "horizon", "seed")
     p.add_argument("--out", help="output events CSV (default <out_dir>/events.csv)")
     p.add_argument("--algorithm", choices=("branching", "thinning"), default="branching")
     p.add_argument("--warmup", type=float, default=None)
     p.set_defaults(func=cmd_simulate)
 
-    for name in ("estimate", "privatize"):
+    for name, release_keys in (("estimate", ()), ("privatize", ("gamma", "seed"))):
         p = sub.add_parser(name, help=f"{name} parameters from an events CSV")
-        _add_config_flags(p)
+        _add_config_flags(p, "mu", "alpha", *box, "delta_mode", "horizon", *release_keys)
         p.add_argument("input", help="events CSV (header timestamp,tree_id,parent_idx)")
         if name == "privatize":
             p.add_argument("--epsilon", type=float, default=None,
@@ -307,13 +314,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("sweep", help="privacy-utility sweep over (epsilon, B)")
-    _add_config_flags(p)
+    _add_config_flags(p, *CONFIG_KEYS)
     p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("time-to-threshold",
                        help="doubling search for the horizon reaching an error target")
-    _add_config_flags(p)
+    _add_config_flags(p, *(k for k in CONFIG_KEYS if k != "horizon"))  # probes: --t_min..--t_max
     p.add_argument("--threshold", type=float, required=True,
                    help="target normalized alpha error")
     p.add_argument("--t_min", type=float, default=12500.0)
@@ -321,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_time_to_threshold)
 
     p = sub.add_parser("complexity", help="evaluate the sample-complexity bounds")
-    _add_config_flags(p)
+    _add_config_flags(p, "mu", "alpha", *box, "gamma", "seed")  # mu, alpha, seed: --eta4_bins
     p.add_argument("--xi", type=float, required=True)
     p.add_argument("--delta_prob", type=float, required=True)
     p.add_argument("--delta_bin", type=float, required=True)
@@ -339,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_complexity)
 
     p = sub.add_parser("tree-stats", help="tree-size histogram of a labeled CSV")
-    _add_config_flags(p)
+    _add_config_flags(p, "horizon")
     p.add_argument("input")
     p.add_argument("--out")
     p.set_defaults(func=cmd_tree_stats)

@@ -297,9 +297,9 @@ def test_bad_flag_value_is_config_error_like_the_file(tmp_path):
     # A flag goes through the same value parser as the --config file.
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("epsilons = 1,abc\n")
-    common = ("--repetitions", "1", "--horizon", "2000", "--out_dir", str(tmp_path))
-    assert run("sweep", "--config", str(cfg), *common) == EXIT_CONFIG
-    assert run("sweep", "--epsilons", "1,abc", *common) == EXIT_CONFIG
+    common = ("--horizon", "2000", "--out_dir", str(tmp_path))
+    assert run("sweep", "--config", str(cfg), "--repetitions", "1", *common) == EXIT_CONFIG
+    assert run("sweep", "--epsilons", "1,abc", "--repetitions", "1", *common) == EXIT_CONFIG
     assert run("simulate", "--seed", "1.5", *common) == EXIT_CONFIG
 
 
@@ -319,6 +319,60 @@ def test_estimate_truth_from_config_file_fills_errors(tmp_path):
     assert float(rows["truth"]["err_mu"]) >= 0 and float(rows["truth"]["err_alpha"]) >= 0
     assert rows["none"]["err_mu"] == rows["none"]["err_alpha"] == ""
     assert rows["truth"]["alpha_hat"] == rows["none"]["alpha_hat"]
+
+
+def test_half_of_the_truth_is_scored_with_the_default_other_half(tmp_path, capsys):
+    # --mu alone printed no errors and left both err_* columns empty
+    events = tmp_path / "ev.csv"
+    run("simulate", "--horizon", "20000", "--seed", "3", "--out_dir", str(tmp_path),
+        "--out", str(events))
+    rows = {}
+    for name, truth in (("mu", ("--mu", "2")), ("alpha", ("--alpha", "0.3")),
+                        ("mu_pair", ("--mu", "2", "--alpha", "0.5")),
+                        ("alpha_pair", ("--mu", "1", "--alpha", "0.3"))):
+        out = tmp_path / f"{name}.csv"
+        assert run("estimate", str(events), *truth, "--out_dir", str(tmp_path),
+                   "--out", str(out)) == EXIT_OK
+        assert " E_mu=" in capsys.readouterr().out
+        rows[name] = _result_row(out)
+    assert rows["mu"] == rows["mu_pair"] and rows["alpha"] == rows["alpha_pair"]
+    assert rows["mu"]["err_mu"] != rows["alpha"]["err_mu"] != ""
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("estimate", ()), ("privatize", ("--epsilon", "10", "--b", "10", "--seed", "1")),
+    ("tree-stats", ()),
+])
+def test_config_file_horizon_is_read_like_the_flag(tmp_path, capsys, command, extra):
+    # a horizon line in the file was ignored and the .meta horizon (1000) used
+    events = tmp_path / "ev.csv"
+    run("simulate", "--horizon", "1000", "--seed", "1", "--out_dir", str(tmp_path),
+        "--out", str(events))
+    cfg = tmp_path / "short.cfg"
+    cfg.write_text("horizon = 500\n")
+    capsys.readouterr()
+    for horizon in (("--horizon", "500"), ("--config", str(cfg))):
+        assert run(command, str(events), *extra, *horizon,
+                   "--out_dir", str(tmp_path)) == EXIT_IO
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "timestamps must lie in [0, horizon]" in err[0], err
+
+
+def test_one_config_file_drives_a_whole_pipeline(tmp_path):
+    # the file takes every key on every command, although each command's flags
+    # are only the keys it reads
+    cfg = tmp_path / "all.cfg"
+    cfg.write_text("mu = 1\nalpha = 0.5\nmu_lower = 0.5\nmu_upper = 2\nalpha_lower = 0.1\n"
+                   "alpha_upper = 0.75\ngamma = 0.05\nepsilons = 10\nb_values = 10\n"
+                   "delta_mode = 10\nhorizon = 2000\nrepetitions = 1\nseed = 3\n"
+                   f"out_dir = {tmp_path}\n")
+    raw = tmp_path / "raw.csv"
+    raw.write_text("100\n160\n220\n")
+    events = str(tmp_path / "events.csv")
+    for argv in (("simulate",), ("estimate", events), ("privatize", events, "--epsilon", "10"),
+                 ("tree-stats", events), ("ingest", str(raw))):
+        assert run(*argv, "--config", str(cfg)) == EXIT_OK, argv
+    assert {"events.csv", "tree_stats.csv", "ingested.csv"} <= set(os.listdir(tmp_path))
 
 
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")

@@ -3,8 +3,10 @@
 Each case calls cli.main in process. It must end with its documented exit code
 and, when it fails, a one-line reason on stderr; no traceback. Text that
 argparse cannot convert (a CLI-only flag given "" or "abc") ends in argparse's
-SystemExit(2) usage error, whose last line is the reason; every other refusal
-is returned by main. An accepted value runs to the end, so the base arguments
+SystemExit(2) usage error, whose last line is the reason; so does every value
+of a config flag the command does not read, which argparse refuses as an
+unrecognized argument before any work runs. Every other refusal is returned
+by main. An accepted value runs to the end, so the base arguments
 keep each run small: horizon 1000, one repetition, one epsilon, one B, and a
 time-to-threshold threshold that the first probe meets.
 """
@@ -32,6 +34,20 @@ BASE = {
                    "--sigma_sq", "239986", "--eta4", "1.8e11"),
     "tree-stats": ("tree-stats", "{events}"),
     "ingest": ("ingest", "{raw}", "--scale", "1"),
+}
+
+# The config keys each command reads, and so takes as flags. --config files take
+# every key on every command, and --out_dir is on every command.
+BOX = ("mu_lower", "mu_upper", "alpha_lower", "alpha_upper")
+CONFIG_FLAGS = {
+    "simulate": ("mu", "alpha", "horizon", "seed"),
+    "estimate": ("mu", "alpha", *BOX, "delta_mode", "horizon"),
+    "privatize": ("mu", "alpha", *BOX, "delta_mode", "horizon", "gamma", "seed"),
+    "sweep": tuple(k for k in CONFIG_KEYS if k != "out_dir"),
+    "time-to-threshold": tuple(k for k in CONFIG_KEYS if k not in ("out_dir", "horizon")),
+    "complexity": ("mu", "alpha", *BOX, "gamma", "seed"),
+    "tree-stats": ("horizon",),
+    "ingest": (),
 }
 
 CLI_FLAGS = {
@@ -78,10 +94,9 @@ NOT_REFUSED = {
     # a simulation would exceed the event cap
     ("mu", "1e300"): (EXIT_OK, dict.fromkeys(("simulate", "sweep", "time-to-threshold"),
                                              EXIT_CONFIG)),
-    # the event cap; more bins than a series may hold; unused by the other commands
-    ("horizon", "1e300"): (EXIT_CONFIG, {
-        "estimate": EXIT_IO, "privatize": EXIT_IO,
-        **dict.fromkeys(("time-to-threshold", "complexity", "tree-stats", "ingest"), EXIT_OK)}),
+    # the event cap; more bins than a series may hold; a wide window for the trees
+    ("horizon", "1e300"): (EXIT_CONFIG, {"estimate": EXIT_IO, "privatize": EXIT_IO,
+                                         "tree-stats": EXIT_OK}),
     # a valid prior box whose variance noise (scale ~1e151) defeats every release
     ("mu_upper", "1e300"): (EXIT_OK, {"privatize": EXIT_ESTIMATION,
                                       "sweep": EXIT_ALL_FAILED,
@@ -93,6 +108,8 @@ NOT_REFUSED = {
 
 CASES = [(command, flag) for command in BASE
          for flag in (*(k for k in CONFIG_KEYS if k != "out_dir"), *CLI_FLAGS[command])]
+# (command, config key) pairs whose flag the command does not take
+DROPPED = {(c, f) for c, f in CASES if f in CONFIG_KEYS and f not in CONFIG_FLAGS[c]}
 
 
 def test_value_table_names_every_flag():
@@ -101,8 +118,9 @@ def test_value_table_names_every_flag():
     assert set(commands) == set(BASE)
     for command, parser in commands.items():
         defined = {s[2:] for a in parser._actions for s in a.option_strings if s[:2] == "--"}
-        assert defined == {"help", "config", *CONFIG_KEYS, *CLI_FLAGS[command],
-                           *UNVALUED_FLAGS[command]}, command
+        assert defined == {"help", "config", "out_dir", *CONFIG_FLAGS[command],
+                           *CLI_FLAGS[command], *UNVALUED_FLAGS[command]}, command
+    assert len(DROPPED) == 48
 
 
 def expected_code(command, flag, value):
@@ -141,7 +159,10 @@ def test_numeric_flag_values(command, flag, inputs, capsys):
         want = expected_code(command, flag, value)
         code, err, how = _outcome([*base, "--out_dir", inputs["out_dir"],
                                    f"--{flag}={value}"], capsys)
-        if how == "SystemExit":  # argparse: usage lines, then one "error:" line
+        if (command, flag) in DROPPED:  # refused while parsing, so nothing ran
+            ok = (code, how) == (EXIT_CONFIG, "SystemExit") and err and \
+                err[-1] == f"dphawkes: error: unrecognized arguments: --{flag}={value}"
+        elif how == "SystemExit":  # argparse: usage lines, then one "error:" line
             ok = code == want == EXIT_CONFIG and err and \
                 err[-1].startswith(f"dphawkes {command}: error: argument --{flag}")
         else:
