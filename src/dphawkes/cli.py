@@ -237,8 +237,12 @@ def cmd_complexity(args) -> int:
     if not args.private and (budget is not None or b_mode != "auto" or args.c is not None):
         raise ConfigError("--epsilon, --b and --c apply to the private bound only; add --private")
     eta4 = args.eta4
-    if eta4 is not None and args.eta4_bins is not None:
-        raise ConfigError("--eta4_bins estimates eta4 when --eta4 is absent; give one of them")
+    # flags as parsed: a --config file is shared between commands, so its keys stay accepted
+    mc_flags = [f"--{k}" for k in ("eta4_bins", "mu", "alpha", "seed")
+                if getattr(args, k) is not None]
+    if eta4 is not None and mc_flags:
+        raise ConfigError(f"the eta4 Monte-Carlo estimate reads {', '.join(mc_flags)}, "
+                          "but --eta4 replaces it; give one or the other")
     if eta4 is None:
         if args.eta4_bins is None:
             raise ConfigError("either --eta4 or --eta4_bins is required")

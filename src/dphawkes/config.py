@@ -53,9 +53,8 @@ def check_b_mode(b: str) -> str:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    mu: float | None = 1.0
-    alpha: float | None = 0.5
-    dataset: str | None = None
+    mu: float = 1.0
+    alpha: float = 0.5
     mu_lower: float = 0.5
     mu_upper: float = 2.0
     alpha_lower: float = 0.1
@@ -71,8 +70,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         # mu, alpha, the prior box, epsilon and gamma are checked by their types
-        if self.dataset is None:
-            self.params
+        self.params
         if not 0 < self.horizon < math.inf:
             raise ConfigError(f"horizon must be positive and finite, got {self.horizon}")
         if self.repetitions < 1:
@@ -94,8 +92,6 @@ class ExperimentConfig:
 
     @property
     def params(self) -> HawkesParams:
-        if self.mu is None or self.alpha is None:
-            raise ConfigError("either (mu, alpha) or a dataset path is required")
         return HawkesParams(self.mu, self.alpha)
 
     @cached_property

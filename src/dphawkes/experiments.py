@@ -1,4 +1,4 @@
-"""Synthetic and real-data experiment harness: sweeps and time-to-threshold.
+"""Experiment harness on simulated processes: sweeps and time-to-threshold.
 
 Experiment design: one simulated sequence per repetition is shared across the
 (epsilon, B) grid so comparisons between cells are paired; Laplace noise is
@@ -20,8 +20,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import ExperimentConfig, delta_from_rule
-# invert_moments, privatize_stats, the sensitivity helpers and simulate_branching are unused
-# here, and bin_events serves only the dataset path, but they stay bound: the traced benchmark
+# bin_events, ingest_timestamps, invert_moments, privatize_stats, the sensitivity helpers and
+# simulate_branching are unused here, but they stay bound: the traced benchmark
 # (perfbench/spans.py) wraps them by module attribute. Simulated series come from branching_counts.
 from .counts import CountSeries, bin_count, bin_events, sample_stats
 from .errors import ConfigError, HorizonTooShort, NonConvergence
@@ -83,29 +83,17 @@ def _record(epsilon: float, b_mode: str, rep: int, seed: int, result: EstimateRe
                        *result.normalized_errors(*truth), True, wall_ms)
 
 
-def _baseline(config: ExperimentConfig, series: CountSeries) -> tuple[EstimateResult, float]:
-    """The non-private estimate and its wall time in ms. The series' statistics
-    are computed first, outside the time of every row that reads them."""
-    sample_stats(series)
-    t0 = time.perf_counter()
-    return estimate(series, config.bounds), (time.perf_counter() - t0) * 1000.0
-
-
 def _sweep_rep(config: ExperimentConfig, specs: dict[str, SensitivitySpec],
-               fixed: tuple[CountSeries, EstimateResult, float] | None,
                rep: int) -> list[SweepRecord]:
     """All records for one repetition: one privatized row per (epsilon, b_mode)
-    cell in grid order, then the baseline row of the shared series. fixed is a
-    dataset's series with its baseline, estimated once for every repetition."""
-    if fixed is None:
-        sim_seed = derived_seed(config.seed, 0, rep)
-        series = branching_counts(config.params, config.horizon, sim_seed, config.delta)
-        base, base_ms = _baseline(config, series)
-        truth = (config.mu, config.alpha)
-    else:
-        sim_seed = derived_seed(config.seed, 0, 0)
-        series, base, base_ms = fixed
-        truth = (base.mu_hat, base.alpha_hat)
+    cell in grid order, then the baseline row of the shared simulated series."""
+    sim_seed = derived_seed(config.seed, 0, rep)
+    series = branching_counts(config.params, config.horizon, sim_seed, config.delta)
+    sample_stats(series)  # outside the time of every row that reads the statistics
+    t0 = time.perf_counter()
+    base = estimate(series, config.bounds)
+    base_ms = (time.perf_counter() - t0) * 1000.0
+    truth = (config.mu, config.alpha)
 
     records: list[SweepRecord] = []
     for ei, eps_total in enumerate(config.epsilons):
@@ -127,12 +115,7 @@ def run_sweep(config: ExperimentConfig, workers: int = 1) -> list[SweepRecord]:
     """
     if not workers >= 1:
         raise ConfigError(f"workers must be at least 1, got {workers}")
-    fixed = None
-    if config.dataset is not None:
-        events = ingest_timestamps(config.dataset)
-        series = bin_events(events, delta_from_rule(config.delta_mode, events.horizon))
-        fixed = (series, *_baseline(config, series))
-    job = functools.partial(_sweep_rep, config, _specs(config), fixed)
+    job = functools.partial(_sweep_rep, config, _specs(config))
     reps = range(config.repetitions)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -188,8 +171,6 @@ def run_time_to_threshold(config: ExperimentConfig, threshold: float,
     cells still failing at t_max are marked capped. Non-converged repetitions
     count as infinite error.
     """
-    if config.dataset is not None:
-        raise ConfigError("time-to-threshold requires synthetic ground truth")
     if not threshold > 0:
         raise ConfigError("threshold must be positive")
     if not 0 < t_min <= t_max < math.inf:

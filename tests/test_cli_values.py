@@ -77,8 +77,10 @@ UNVALUED_FLAGS = {
 # Every case not listed here is refused with exit 2. Listed: (flag, value) ->
 # (exit code, {command: exit code where it differs}).
 NOT_REFUSED = {
-    # a nonnegative seed; an infinite (the labelled non-private limit) or huge budget
-    ("seed", "0"): (EXIT_OK, {}),
+    # a nonnegative seed; an infinite (the labelled non-private limit) or huge budget.
+    # complexity's base passes --eta4, which refuses --seed and --mu: only the
+    # Monte-Carlo eta4 estimate reads them
+    ("seed", "0"): (EXIT_OK, {"complexity": EXIT_CONFIG}),
     ("epsilons", "inf"): (EXIT_OK, {}),
     ("epsilons", "1e300"): (EXIT_OK, {}),
     ("epsilon", "inf"): (EXIT_OK, {}),
@@ -91,9 +93,9 @@ NOT_REFUSED = {
     ("t_max", "1e300"): (EXIT_IO, {}),
     ("scale", "1e300"): (EXIT_OK, {}),
     ("delta_bin", "1e300"): (EXIT_OK, {}),  # a wider bin only lowers the bound
-    # a simulation would exceed the event cap
-    ("mu", "1e300"): (EXIT_OK, dict.fromkeys(("simulate", "sweep", "time-to-threshold"),
-                                             EXIT_CONFIG)),
+    # a simulation would exceed the event cap (complexity: beside --eta4, as above)
+    ("mu", "1e300"): (EXIT_OK, dict.fromkeys(("simulate", "sweep", "time-to-threshold",
+                                              "complexity"), EXIT_CONFIG)),
     # the event cap; more bins than a series may hold; a wide window for the trees
     ("horizon", "1e300"): (EXIT_CONFIG, {"estimate": EXIT_IO, "privatize": EXIT_IO,
                                          "tree-stats": EXIT_OK}),
@@ -192,6 +194,24 @@ def test_complexity_refuses_eta4_bins_beside_eta4(capsys):
     # the Monte-Carlo bins were ignored when eta4 itself was given
     code, err, how = _outcome([*COMPLEXITY_NONPRIVATE, "--eta4_bins", "1000"], capsys)
     assert (code, how, len(err)) == (EXIT_CONFIG, "returned", 1), err
+
+
+# --mu 2 --seed 2 printed the same required T as --mu 1 --seed 1: only the
+# Monte-Carlo eta4 estimate reads them, and --eta4 replaces it
+@pytest.mark.parametrize("flags", [("--mu", "2"), ("--alpha", "0.3"), ("--seed", "2"),
+                                   ("--mu", "1", "--alpha", "0.5", "--seed", "1")])
+def test_complexity_refuses_estimator_flags_beside_eta4(flags, capsys):
+    code, err, how = _outcome([*COMPLEXITY_NONPRIVATE, *flags], capsys)
+    assert (code, how, len(err)) == (EXIT_CONFIG, "returned", 1), err
+    assert all(flag in err[0] for flag in flags[::2]), err
+
+
+def test_complexity_takes_estimator_keys_from_a_shared_config_file(tmp_path, capsys):
+    # one --config file drives a whole pipeline, so its mu, alpha and seed stay accepted
+    cfg = tmp_path / "shared.cfg"
+    cfg.write_text("mu = 2\nalpha = 0.3\nseed = 2\n")
+    code, err, how = _outcome([*COMPLEXITY_NONPRIVATE, "--config", str(cfg)], capsys)
+    assert (code, how, err) == (EXIT_OK, "returned", [])
 
 
 # a prefix named another flag: --epsilon became --epsilons, --alpha_u became --alpha_upper

@@ -1,9 +1,10 @@
+import dataclasses
 import math
 
 import pytest
 
 from dphawkes import ConfigError, HawkesParams, ParamBounds, PrivacyBudget
-from dphawkes.config import (ExperimentConfig, delta_from_rule, load_config,
+from dphawkes.config import (CONFIG_KEYS, ExperimentConfig, delta_from_rule, load_config,
                              parse_config_file, round_to_multiple_of_5)
 
 
@@ -46,8 +47,11 @@ def test_config_validation():
         ExperimentConfig(b_values=("ten",))
     with pytest.raises(ConfigError):
         ExperimentConfig(alpha=1.5)
-    with pytest.raises(ConfigError):
-        ExperimentConfig(mu=None, alpha=None)  # no dataset either
+
+
+def test_every_config_field_is_a_config_key():
+    # a field outside CONFIG_KEYS is one that no flag or config file can set
+    assert {f.name for f in dataclasses.fields(ExperimentConfig)} == set(CONFIG_KEYS)
 
 
 def test_parse_config_file(tmp_path):
@@ -92,12 +96,10 @@ def test_out_dir_env_default(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("kwargs, owner", [
     (dict(mu=math.inf), lambda: HawkesParams(math.inf, 0.5)),
-    (dict(mu=None, alpha=None), lambda: ExperimentConfig(mu=None, alpha=None,
-                                                         dataset="x").params),
     (dict(mu_upper=math.inf), lambda: ParamBounds(0.5, math.inf, 0.1, 0.75)),
     (dict(gamma=0.7), lambda: PrivacyBudget(0.5, 0.7)),
     (dict(epsilons=(math.nan,)), lambda: PrivacyBudget(math.nan, 0.05)),
-], ids=["params", "no_params", "bounds", "gamma", "epsilon"])
+], ids=["params", "bounds", "gamma", "epsilon"])
 def test_config_refusals_come_from_the_owning_type(kwargs, owner):
     with pytest.raises(ConfigError) as config_error:
         ExperimentConfig(**kwargs)

@@ -6,8 +6,8 @@ import time
 import numpy as np
 import pytest
 
-from dphawkes import (ConfigError, HawkesParams, bin_events, branching_counts, estimate,
-                      sample_stats, simulate_branching)
+from dphawkes import (ConfigError, bin_events, branching_counts, estimate, sample_stats,
+                      simulate_branching)
 from dphawkes import experiments
 from dphawkes.config import ExperimentConfig, delta_from_rule
 from dphawkes.counts import bin_times
@@ -117,33 +117,6 @@ def test_threshold_impossible_reports_cap():
     assert cells[0].required_t is None
 
 
-def test_threshold_requires_synthetic_truth(tmp_path):
-    raw = tmp_path / "raw.csv"
-    raw.write_text("1\n2\n3\n")
-    cfg = ExperimentConfig(mu=None, alpha=None, dataset=str(raw))
-    with pytest.raises(ConfigError):
-        run_time_to_threshold(cfg, threshold=0.1)
-
-
-def test_real_data_sweep_uses_nonprivate_truth(tmp_path):
-    rng = np.random.default_rng(1)
-    # a plausibly clustered synthetic "real" file
-    from dphawkes import HawkesParams, simulate_branching
-    seq = simulate_branching(HawkesParams(1.0, 0.5), 20000.0, seed=5)
-    raw = tmp_path / "raw.csv"
-    raw.write_text("\n".join(f"{t:.17g}" for t in seq.timestamps) + "\n")
-    cfg = ExperimentConfig(mu=None, alpha=None, dataset=str(raw),
-                           epsilons=(10.0,), b_values=("10",), repetitions=3,
-                           delta_mode="10", seed=3)
-    records = run_sweep(cfg)
-    base = [r for r in records if r.b_mode == BASELINE_B_MODE]
-    # baseline errors vanish: the non-private estimate is the ground truth
-    assert all(r.err_mu == 0.0 and r.err_alpha == 0.0 for r in base)
-    grid = [r for r in records if r.b_mode != BASELINE_B_MODE]
-    assert all(r.converged for r in grid)
-    assert any(r.err_alpha > 0 for r in grid)
-
-
 def _counting(monkeypatch, module, name):
     """Replace module.name by a wrapper that records each call's arguments."""
     calls, fn = [], getattr(module, name)
@@ -157,18 +130,6 @@ def test_sweep_computes_each_series_statistics_once(monkeypatch):
     records = run_sweep(small_config(repetitions=3))
     assert len(records) == 3 * (2 * 2 + 1)
     assert len(computed) == 3  # one per repetition, shared by its 5 rows
-
-
-def test_dataset_sweep_estimates_its_baseline_once(tmp_path, monkeypatch):
-    seq = simulate_branching(HawkesParams(1.0, 0.5), 20000.0, seed=5)
-    raw = tmp_path / "raw.csv"
-    raw.write_text("\n".join(f"{t:.17g}" for t in seq.timestamps) + "\n")
-    cfg = ExperimentConfig(mu=None, alpha=None, dataset=str(raw), epsilons=(10.0,),
-                           b_values=("10",), repetitions=3, delta_mode="10", seed=3)
-    estimated = _counting(monkeypatch, experiments, "estimate")
-    base = [r for r in run_sweep(cfg) if r.b_mode == BASELINE_B_MODE]
-    assert len(estimated) == 1
-    assert len(base) == 3 and len({(r.mu_hat, r.alpha_hat, r.wall_ms) for r in base}) == 1
 
 
 def test_summary_and_threshold_csv_round_trip(tmp_path):
