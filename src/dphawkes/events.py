@@ -16,6 +16,14 @@ _ROOT_ROW = "%.17g,%d,\r\n"
 _UNLABELED_ROW = "%.17g,,\r\n"
 _BLOCK_ROWS = 1 << 16
 
+# The numpy row formatter covers timestamps 0 and [1e-4, 1e16) (printed in
+# positional notation) and ids in [0, 1e16).
+_DIGITS4 = np.stack(np.meshgrid(*[np.arange(48, 58, dtype=np.uint8)] * 4, indexing="ij"),
+                    axis=-1).view(np.uint32).ravel()  # b"0000" .. b"9999"
+_POW5 = 5 ** np.arange(22, dtype=np.uint64)  # to 21: the log10 estimate may be one low
+_POW10 = 10 ** np.arange(17, dtype=np.int64)
+_LOW32 = 2**32 - 1
+
 # An empty label field is read as -1 (no tree id / no recorded parent).
 _EMPTY_LABEL = ((b",,", b",-1,"), (b",\r\n", b",-1\r\n"), (b",\n", b",-1\n"))
 _ROW_DTYPE = np.dtype([("t", "f8"), ("g", "i8"), ("p", "i8")])
@@ -60,11 +68,11 @@ class EventSequence:
                 raise ValueError("label arrays must match timestamps in length")
             if np.any(tree < 0):
                 raise ValueError("tree_id must be nonnegative")
-            child = np.flatnonzero(parent >= 0)
+            child = np.flatnonzero(parent != -1)
             if child.size:
                 p = parent[child]
-                if np.any(p >= child):
-                    raise ValueError("parent_idx must point to an earlier event")
+                if np.any((p < 0) | (p >= child)):
+                    raise ValueError("parent_idx must be -1 or an earlier index")
                 if np.any(tree[p] != tree[child]):
                     raise ValueError("parent and child must share tree_id")
 
@@ -79,18 +87,128 @@ class EventSequence:
 def write_events_csv(events: EventSequence, path) -> None:
     """Write the sequence in the events CSV format (see the README), with
     ``\\r\\n`` line ends and 17 significant digits per timestamp."""
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(CSV_HEADER) + "\r\n")
+    with open(path, "wb") as fh:
+        fh.write(",".join(CSV_HEADER).encode() + b"\r\n")
         # Fixed-size blocks bound the formatted text held in memory.
         for lo in range(0, len(events), _BLOCK_ROWS):
-            ts = events.timestamps[lo:lo + _BLOCK_ROWS].tolist()
+            rows = slice(lo, lo + _BLOCK_ROWS)
+            t, g, p = events.timestamps[rows], None, None
             if events.labeled:
-                rows = zip(ts, events.tree_id[lo:lo + _BLOCK_ROWS].tolist(),
-                           events.parent_idx[lo:lo + _BLOCK_ROWS].tolist())
-                fh.write("".join([_CHILD_ROW % row if row[2] >= 0 else _ROOT_ROW % row[:2]
-                                  for row in rows]))
+                g, p = events.tree_id[rows], events.parent_idx[rows]
+            if _in_numpy_range(t, g, p):
+                fh.write(_format_rows(t, g, p))
             else:
-                fh.write("".join(map(_UNLABELED_ROW.__mod__, ts)))
+                fh.write(_template_rows(t, g, p))
+
+
+def _template_rows(t, g, p) -> bytes:
+    """The rows formatted by the % templates, one Python call per row."""
+    if g is None:
+        return "".join(map(_UNLABELED_ROW.__mod__, t.tolist())).encode()
+    return "".join([_CHILD_ROW % row if row[2] >= 0 else _ROOT_ROW % row[:2]
+                    for row in zip(t.tolist(), g.tolist(), p.tolist())]).encode()
+
+
+def _in_numpy_range(t, g, p) -> bool:
+    """Whether _format_rows can format every value of the block."""
+    if not np.all(((t >= 1e-4) | (t == 0)) & (t < 1e16)):
+        return False
+    return g is None or (g.min() >= 0 and max(g.max(), p.max()) < 10**16)
+
+
+def _format_rows(t, g, p) -> bytes:
+    """The bytes of _template_rows, built in numpy: each row is laid out in
+    fixed columns of a uint8 matrix, unused bytes stay 0 and are dropped."""
+    x, d = _decimal17(t)
+    digits = _ascii(d, 5)[:, 3:]  # the 17 significant digits
+    wt = 18 - min(int(x.min()), 0)  # the widest timestamp in the block
+    ids = [_id_ascii(v, t.size) for v in (g, p)]
+    mat = np.zeros((t.size, wt + 4 + ids[0].shape[1] + ids[1].shape[1]), np.uint8)
+    # Timestamps increase, so rows with one decimal exponent are one slice.
+    cuts = [0, *(np.flatnonzero(np.diff(x)) + 1).tolist(), t.size]
+    for r0, r1 in zip(cuts[:-1], cuts[1:]):
+        xe, f, dg = int(x[r0]), mat[r0:r1], digits[r0:r1]
+        if xe >= 0:  # integer digits, ".", fraction digits
+            f[:, :xe + 1] = dg[:, :xe + 1]
+            f[:, xe + 1] = ord(".")
+            f[:, xe + 2:18] = dg[:, xe + 1:]
+        else:  # "0.", -xe - 1 zeros, the digits
+            f[:, :1 - xe] = ord("0")
+            f[:, 1] = ord(".")
+            f[:, 1 - xe:18 - xe] = dg
+    # Strip the fraction's trailing zeros, and the "." if nothing follows it.
+    last = 16 - np.argmax(digits[:, ::-1] != ord("0"), axis=1)
+    last[d == 0] = 0
+    end = np.where(last > x, last + 2 - np.minimum(x, 0), x + 1)
+    mat[:, :wt][np.arange(wt) >= end[:, None]] = 0
+    col = wt
+    for field in ids:
+        mat[:, col] = ord(",")
+        mat[:, col + 1:col + 1 + field.shape[1]] = field
+        col += 1 + field.shape[1]
+    mat[:, col:] = (ord("\r"), ord("\n"))
+    return mat[mat != 0].tobytes()
+
+
+def _decimal17(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(x, d) such that '%.17g' % t prints the digits of d with decimal
+    exponent x: d = t * 10**(16 - x) rounded half to even, 10**16 <= d < 10**17
+    (d = x = 0 for t = 0). Every t must be 0 or in [1e-4, 1e16)."""
+    zero = t == 0
+    t = np.where(zero, 1.0, t)
+    bits = t.view(np.uint64)
+    m = ((bits & (2**52 - 1)) | 2**52) << 3  # t = m * 2**e; 3 spare bits keep every shift right
+    e = (bits >> 52).astype(np.int64) - 1078
+    x = np.floor(np.log10(t)).astype(np.int64)  # at most 1 off
+    d = _round_scaled(m, e, 16 - x)
+    # One correction fixes the estimate, and a rounding carry onto 10**17.
+    off = (d >= 10**17).astype(np.int64) - (d < 10**16)
+    fix = np.flatnonzero(off)
+    if fix.size:
+        x[fix] += off[fix]
+        d[fix] = _round_scaled(m[fix], e[fix], 16 - x[fix])
+    d[zero] = 0
+    x[zero] = 0
+    return x, d
+
+
+def _round_scaled(m: np.ndarray, e: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """m * 2**e * 10**q rounded half to even, for the m, e and q of _decimal17.
+
+    m * 5**q is formed exactly as hi * 2**64 + lo from 32-bit limbs, then
+    shifted right by s = -(e + q) bits, with 1 <= s <= 63 on that domain.
+    """
+    p = _POW5[q]
+    m1, m0, p1, p0 = m >> 32, m & _LOW32, p >> 32, p & _LOW32
+    low = m0 * p0
+    mid = m0 * p1 + m1 * p0 + (low >> 32)
+    lo = (mid << 32) | (low & _LOW32)
+    hi = m1 * p1 + (mid >> 32)
+    s = (-(e + q)).astype(np.uint64)
+    d = (hi << (64 - s)) | (lo >> s)
+    rem, half = lo & ((1 << s) - 1), 1 << (s - 1)
+    return d + ((rem > half) | ((rem == half) & (d & 1 == 1)))
+
+
+def _ascii(v: np.ndarray, chunks: int) -> np.ndarray:
+    """The decimal digits of nonnegative integers as uint8 rows of 4 * chunks
+    ASCII bytes, zero-padded on the left."""
+    out = np.empty((v.size, chunks), np.uint32)
+    for j in range(chunks):
+        out[:, chunks - 1 - j] = _DIGITS4[v // 10**(4 * j) % 10_000]
+    return out.view(np.uint8)
+
+
+def _id_ascii(v: np.ndarray | None, n: int) -> np.ndarray:
+    """Ids as right-aligned ASCII with 0 bytes for leading zeros; a negative
+    id (no recorded parent) is an empty field, and so is every row of None."""
+    if v is None:
+        return np.zeros((n, 0), np.uint8)
+    width = 4 * -(-len(str(max(int(v.max()), 0))) // 4)
+    out = _ascii(np.maximum(v, 0), width // 4)
+    ndigits = np.searchsorted(_POW10, v, side="right") + (v == 0)
+    out[np.arange(width) < width - ndigits[:, None]] = 0
+    return out
 
 
 def read_events_csv(path, horizon: float | None = None) -> EventSequence:

@@ -48,8 +48,15 @@ def ingest_timestamps(path, time_unit_scale: float = 1.0) -> EventSequence:
     if n_dup:
         warnings.warn(f"{path}: dropped {n_dup} duplicate timestamp(s)", stacklevel=2)
         raw = raw[keep]
+    span = float(raw[-1]) - float(raw[0])
+    if not math.isfinite(span * time_unit_scale):
+        raise ValueError(f"{path}: the timestamps span {span:g}, which at scale "
+                         f"{time_unit_scale:g} is not a finite horizon")
     scaled = (raw - raw[0]) * time_unit_scale
-    return EventSequence(scaled, horizon=float(scaled[-1]))
+    try:
+        return EventSequence(scaled, horizon=float(scaled[-1]))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _rows_error(path, data: bytes, first_line: int, reason: str) -> ValueError:

@@ -2,6 +2,7 @@ import os
 import runpy
 import sys
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -290,6 +291,19 @@ def test_ingest_refuses_non_finite_rows_naming_the_file(tmp_path, capsys):
         assert run("ingest", str(raw), "--out", str(out), "--out_dir", str(tmp_path)) == EXIT_IO
         err = capsys.readouterr().err
         assert str(raw) in err and lines in err
+    assert not out.exists()
+
+
+def test_ingest_refuses_a_scale_that_overflows_naming_the_file(tmp_path, capsys):
+    raw = tmp_path / "raw.csv"
+    raw.write_text("0\n5e9\n1e10\n")
+    out = tmp_path / "events.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy overflow warning fails the test
+        assert run("ingest", str(raw), "--scale", "1e300", "--out", str(out),
+                   "--out_dir", str(tmp_path)) == EXIT_IO
+    err = capsys.readouterr().err
+    assert str(raw) in err and "1e+300" in err
     assert not out.exists()
 
 

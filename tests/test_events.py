@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dphawkes import (EventSequence, read_events_csv, simulate_branching,
-                      write_events_csv)
+                      simulate_thinning, write_events_csv)
+from dphawkes import events as events_module
 from dphawkes.hawkes import HawkesParams
 
 
@@ -35,6 +36,8 @@ def test_parent_link_validation():
         EventSequence(ts, 2.0, tree_id=np.array([0, 0]), parent_idx=np.array([1, -1]))
     with pytest.raises(ValueError):  # cross-tree parent
         EventSequence(ts, 2.0, tree_id=np.array([0, 1]), parent_idx=np.array([-1, 0]))
+    with pytest.raises(ValueError, match="parent_idx must be -1 or an earlier index"):
+        EventSequence(ts, 2.0, tree_id=np.array([0, 0]), parent_idx=np.array([-7, 0]))
     ok = EventSequence(ts, 2.0, tree_id=np.array([0, 0]), parent_idx=np.array([-1, 0]))
     assert ok.labeled and len(ok) == 2
 
@@ -167,6 +170,7 @@ def test_csv_refuses_rows_without_three_fields(tmp_path, row, fields):
     (["0.5,-1,"], "tree_id must be nonnegative"),
     (["0.5,,", "nan,,"], "finite"),
     (["0.5,0,", "0.25,0,"], "strictly increasing"),
+    (["0.5,0,-7", "1.0,0,0"], "parent_idx must be -1 or an earlier index"),
 ])
 def test_csv_refusals_name_the_file(tmp_path, rows, match):
     with pytest.raises(ValueError, match=rf"^.*ev\.csv: .*{match}"):
@@ -262,3 +266,87 @@ def test_csv_bytes_at_benchmark_scale_are_pinned(tmp_path):
         assert path.read_bytes() == _csv_writer_reference(events)
         back = read_events_csv(path, horizon=seq.horizon)
         assert back.timestamps.tobytes() == seq.timestamps.tobytes()
+
+
+# --- the numpy row formatter against the reference --------------------------
+
+def _write_matches_reference(tmp_path, seq):
+    path = tmp_path / "ev.csv"
+    write_events_csv(seq, path)
+    assert path.read_bytes() == _csv_writer_reference(seq)
+
+
+def test_csv_bytes_match_reference_on_a_million_floats(tmp_path):
+    rng = np.random.default_rng(20)
+    finite = np.float64(np.inf).view(np.uint64)
+    lo, hi = np.array([1e-4, 1e16]).view(np.uint64)
+    powers = 10.0 ** np.arange(-5, 18)
+    ts = np.unique(np.concatenate([
+        # bit patterns of every nonnegative finite double, subnormals included
+        rng.integers(0, finite, 300_000, dtype=np.uint64).view(np.float64),
+        # bit patterns in the formatter's range
+        rng.integers(lo, hi, 700_000, dtype=np.uint64).view(np.float64),
+        powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf),
+        np.arange(10_000.0), np.arange(10_000.0) + 0.5,
+        np.arange(2.0**53 - 5_000, 2.0**53 + 5_000, 2.0), 1e15 + np.arange(-1_000, 1_000) / 8,
+    ]))
+    assert ts.size >= 1_000_000
+    _write_matches_reference(tmp_path, EventSequence(ts, float(ts[-1])))
+
+
+def test_csv_bytes_match_reference_where_significand_is_ten_to_sixteen(tmp_path):
+    # 17 digits "10000000000000000", of which up to 16 trailing zeros are stripped
+    ts = np.array([1e-4, 1e-3, 0.01, 0.1, 1.0, 1e5, 1e15])
+    assert ["%.17g" % t for t in ts[[0, 4, 6]]] == ["0.0001", "1", "1000000000000000"]
+    _write_matches_reference(tmp_path, EventSequence(ts, 1e15))
+    _write_matches_reference(tmp_path, EventSequence(np.concatenate([[0.0], ts]), 1e15))
+
+
+@pytest.mark.parametrize("ts", [[9.9999999999999991e-05, 1e-4, 1.0], [3e-5, 0.5],
+                                [1.0, 9999999999999998.0, 1e16], [0.5, 3e16]])
+def test_csv_bytes_match_reference_at_the_formatter_range_edges(tmp_path, ts):
+    _write_matches_reference(tmp_path, EventSequence(np.array(ts), ts[-1]))
+
+
+def test_csv_falls_back_for_the_block_that_needs_it(tmp_path, monkeypatch):
+    n = events_module._BLOCK_ROWS
+    ts = np.append(np.linspace(1.0, 1e6, n), 2e16)  # the last row prints as 2e+16
+    fallback = []
+    template_rows = events_module._template_rows
+    monkeypatch.setattr(events_module, "_template_rows",
+                        lambda t, g, p: fallback.append(t.size) or template_rows(t, g, p))
+    _write_matches_reference(tmp_path, EventSequence(ts, 2e16))
+    assert fallback == [1]
+
+
+def test_csv_bytes_match_reference_on_id_widths(tmp_path):
+    ids = sorted({v for j in range(17) for v in (10**j - 1, 10**j)} - {10**16})
+    # each tree id once as a root and once as its child
+    tree = np.repeat(ids, 2)
+    parent = np.where(np.arange(tree.size) % 2, np.arange(tree.size) - 1, -1)
+    ts = np.arange(1, tree.size + 1) * 0.5
+    _write_matches_reference(tmp_path, EventSequence(ts, ts[-1], tree, parent))
+    big = np.append(tree, [10**16, 2**63 - 1])  # above the formatter's range
+    ts = np.arange(1, big.size + 1) * 0.5
+    _write_matches_reference(
+        tmp_path, EventSequence(ts, ts[-1], big, np.append(parent, [-1, -1])))
+    # parents at every 10**j - 1 and 10**j up to 10**5, in one tree
+    n = 100_002
+    parent = np.arange(-1, n - 1)
+    parent[np.random.default_rng(4).random(n) < 0.25] = -1
+    ts = np.arange(1, n + 1) * 0.25
+    _write_matches_reference(tmp_path, EventSequence(ts, ts[-1], np.full(n, 7), parent))
+
+
+def test_benchmark_scale_sequences_take_no_fallback(tmp_path, monkeypatch):
+    # A narrowed range check would show here, not only as a slower write.
+    def refuse(t, g, p):
+        raise AssertionError("a block took the % template fallback")
+
+    params = HawkesParams(1.0, 0.5)
+    span = np.concatenate([[0.0], np.geomspace(1e-4, 9999999999999998.0, 20_000)])
+    monkeypatch.setattr(events_module, "_template_rows", refuse)
+    for seq in (simulate_branching(params, 1.25e5, seed=7),
+                simulate_thinning(params, 1.25e5, seed=7),
+                EventSequence(span, span[-1])):
+        write_events_csv(seq, tmp_path / "ev.csv")

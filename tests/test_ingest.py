@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -73,6 +74,23 @@ def test_non_finite_scale_is_config_error(tmp_path):
     for scale in (math.inf, math.nan, 0.0):
         with pytest.raises(ConfigError, match="time_unit_scale"):
             ingest_timestamps(path, time_unit_scale=scale)
+
+
+def test_non_finite_scaled_span_names_file_and_scale(tmp_path):
+    path = tmp_path / "raw.csv"
+    path.write_text("0\n5e9\n1e10\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy overflow warning either
+        with pytest.raises(ValueError, match=r"raw\.csv: .*span 1e\+10.*scale 1e\+300"):
+            ingest_timestamps(path, time_unit_scale=1e300)
+
+
+def test_sequence_refusals_name_the_file(tmp_path):
+    # distinct raw times that the scale maps onto one float
+    path = tmp_path / "raw.csv"
+    path.write_text("0\n1\n1.2\n")
+    with pytest.raises(ValueError, match=r"raw\.csv: timestamps must be strictly increasing"):
+        ingest_timestamps(path, time_unit_scale=5e-324)
 
 
 def test_header_only_on_line_one(tmp_path):
