@@ -8,7 +8,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .events import EventSequence
+from .events import EventSequence, owned_array
 
 MAX_BINS = 10**8  # 800 MB of int64 counts
 BIN_BLOCK = 1 << 16  # timestamps binned per slice, bounding the temporaries
@@ -23,7 +23,7 @@ class CountSeries:
     horizon: float
 
     def __post_init__(self):
-        c = np.asarray(self.counts, dtype=np.int64)
+        c = owned_array(self.counts, np.int64)
         object.__setattr__(self, "counts", c)
         if c.size < 2:
             raise ValueError("need at least 2 bins")
@@ -40,7 +40,7 @@ class CountSeries:
 
     @cached_property
     def stats(self) -> SampleStats:
-        """The sample statistics, computed on first use and kept: counts must not change."""
+        """The sample statistics, computed on first use and kept (counts are read-only)."""
         return SampleStats(float(self.counts.mean()), float(self.counts.var(ddof=1)), self.k)
 
 

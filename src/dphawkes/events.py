@@ -23,6 +23,12 @@ _DIGITS4 = np.stack(np.meshgrid(*[np.arange(48, 58, dtype=np.uint8)] * 4, indexi
 _POW5 = 5 ** np.arange(22, dtype=np.uint64)  # to 21: the log10 estimate may be one low
 _POW10 = 10 ** np.arange(17, dtype=np.int64)
 _LOW32 = 2**32 - 1
+_POW10U = 10 ** np.arange(20, dtype=np.uint64)
+_POW10F = 10.0 ** np.arange(21)
+_READ_ROWS = 1 << 13
+_SCAN = 1 << 20  # bytes scanned at a time for line ends, commas and dots
+# _KEEP[n + 16]: the last clip(n, 0, 8) bytes of a little-endian word
+_KEEP = np.array([2**64 - 2**(64 - 8 * min(max(n, 0), 8)) for n in range(-16, 17)], np.uint64)
 
 # An empty label field is read as -1 (no tree id / no recorded parent).
 _EMPTY_LABEL = ((b",,", b",-1,"), (b",\r\n", b",-1\r\n"), (b",\n", b",-1\n"))
@@ -46,7 +52,7 @@ class EventSequence:
     parent_idx: np.ndarray | None = field(default=None)
 
     def __post_init__(self):
-        ts = np.asarray(self.timestamps, dtype=np.float64)
+        ts = owned_array(self.timestamps, np.float64)
         object.__setattr__(self, "timestamps", ts)
         if ts.ndim != 1:
             raise ValueError("timestamps must be one-dimensional")
@@ -60,8 +66,8 @@ class EventSequence:
         if (self.tree_id is None) != (self.parent_idx is None):
             raise ValueError("tree_id and parent_idx must be given together")
         if self.tree_id is not None:
-            tree = np.asarray(self.tree_id, dtype=np.int64)
-            parent = np.asarray(self.parent_idx, dtype=np.int64)
+            tree = owned_array(self.tree_id, np.int64)
+            parent = owned_array(self.parent_idx, np.int64)
             object.__setattr__(self, "tree_id", tree)
             object.__setattr__(self, "parent_idx", parent)
             if tree.shape != ts.shape or parent.shape != ts.shape:
@@ -82,6 +88,15 @@ class EventSequence:
     @property
     def labeled(self) -> bool:
         return self.tree_id is not None
+
+
+def owned_array(a, dtype) -> np.ndarray:
+    """a as a read-only array of dtype, copying a view first (its base would stay writable)."""
+    a = np.asarray(a, dtype=dtype)
+    if a.base is not None:
+        a = a.copy()
+    a.flags.writeable = False
+    return a
 
 
 def write_events_csv(events: EventSequence, path) -> None:
@@ -218,9 +233,97 @@ def read_events_csv(path, horizon: float | None = None) -> EventSequence:
     file raises ValueError naming the path, and the row for a malformed row.
     """
     with open(path, "rb") as fh:
-        header, _, body = fh.read().partition(b"\n")
+        data = fh.read()
+    header = data[:data.find(b"\n")] if b"\n" in data else data  # no copy of the rows
     if tuple(h.strip() for h in header.decode(errors="replace").split(",")) != CSV_HEADER:
         raise ValueError(f"{path}: expected header {','.join(CSV_HEADER)}")
+    t, g, p = _fast_rows(data) or _loadtxt_rows(path, data[len(header) + 1:])
+    if horizon is None:
+        horizon = float(t[-1]) if t.size else 0.0
+    try:
+        return EventSequence(t, horizon, g, p)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
+def _fast_rows(data: bytes):
+    """The (t, g, p) below the header in numpy blocks (g = p = None if unlabeled),
+    or None outside this grammar: lines "t,g,p" of ASCII digits and one "." in t
+    at most, ended by \\n or \\r\\n; ids of 16 digits at most; t as %.17g writes it."""
+    buf = np.frombuffer(data, np.uint8)
+    pos = np.int32 if buf.size < 2**31 else np.int64  # half the memory of int64 positions
+    at = np.concatenate([np.flatnonzero(buf[i:i + _SCAN] < 48).astype(pos) + i  # bytes below "0"
+                         for i in range(0, buf.size, _SCAN)])
+    kind = buf[at]
+    nl, ci = at[kind == 10], np.flatnonzero(kind == 44)[2:]  # after the header's commas
+    n = nl.size - 1
+    if n < 1 or nl[-1] != buf.size - 1 or ci.size != 2 * n:
+        return None
+    c0, c1, before, end = at[ci[0::2]], at[ci[1::2]], nl[:-1], nl[1:]
+    # The byte below "0" before t's comma splits t if a dot; a dot elsewhere fails a digit check.
+    dot = np.where(kind[ci[0::2] - 1] == 46, at[ci[0::2] - 1], c0)
+    del at, kind, ci
+    if np.any(c1 > end) or np.any(c0[1:] < end[:-1]):  # two commas on each line
+        return None
+    end = end - (buf[end - 1] == 13)
+    words = np.ndarray((buf.size - 7,), "<u8", data, strides=(1,))  # words[i]: bytes i..i+7
+    t, g, p = np.empty(n), np.empty(n, np.int64), np.empty(n, np.int64)
+    for lo in range(0, n, _READ_ROWS):
+        b = slice(lo, lo + _READ_ROWS)
+        il, gl, pl = dot[b] - before[b] - 1, c1[b] - c0[b] - 1, end[b] - c1[b] - 1
+        f = np.maximum(c0[b] - dot[b] - 1, 0)  # fraction digits
+        if il.min() < 1 or max(il.max(), gl.max(), pl.max()) > 16 or f.max() > 20:
+            return None
+        acc = np.zeros(il.size, np.uint64)
+        whole = _digits(words, dot[b], il, acc)
+        frac = _digits(words, c0[b], np.minimum(f, 16), acc)
+        top = _digits(words, c0[b] - 16, np.maximum(f - 16, 0), acc)
+        # Without its dot t is w < 10**17: at most 17 significant digits.
+        if np.any((whole >= _POW10U[np.maximum(17 - f, 0)]) | (top >= 10)):
+            return None
+        t[b] = _checked_value(whole * _POW10U[np.minimum(f, 19)] + top * 10**16 + frac, f)
+        g[b] = _digits(words, c1[b], gl, acc).view(np.int64) - (gl == 0)  # empty is -1
+        p[b] = _digits(words, end[b], pl, acc).view(np.int64) - (pl == 0)
+        if np.any(acc & 0x8080808080808080) or np.isnan(t[b]).any():
+            return None
+    return (t, g, p) if np.any(g != -1) else (t, None, None)
+
+
+def _digits(words, end, n, acc) -> np.ndarray:
+    """The uint64 values of the n <= 16 ASCII digits before each end, eight a word
+    (the SWAR of fast_float); a byte that is not a digit sets a top bit of acc."""
+    v = np.zeros(end.size, np.uint64)
+    for j in range(-(-int(n.max(initial=0)) // 8)):
+        u = (words[end - 8 * (j + 1)] ^ 0x3030303030303030) & _KEEP[n + (16 - 8 * j)]
+        acc |= u | (u + 0x7676767676767676)  # each byte now 0..9, or a top bit set
+        u = (u * 2561) >> 8 & 0x00FF00FF00FF00FF  # pairs of digits
+        u = (u * 6553601) >> 16 & 0x0000FFFF0000FFFF  # fours
+        v += ((u * 42949672960001) >> 32) * _POW10U[8 * j]
+    return v
+
+
+def _checked_value(w, f) -> np.ndarray:
+    """w / 10**f as the double whose %.17g digits are w's: the estimate is checked
+    with _decimal17 and nudged by one ulp at most twice; nan where none matches."""
+    x = w.astype(np.float64) / _POW10F[f]
+    if not np.all(((x >= 1e-4) | (w == 0)) & (x < 1e16)):  # outside _decimal17's range
+        return np.full(x.size, np.nan)
+    # w's digit count nd; then (exponent, digits) as one int64 that orders as the value does
+    nd = np.searchsorted(_POW10U, w, side="right")
+    want = (np.where(w == 0, 0, nd - 1 - f) + 5) * 10**17 + (w * _POW10U[17 - nd]).astype(np.int64)
+    todo = np.arange(x.size)
+    for _ in range(3):
+        xe, d = _decimal17(x[todo])
+        got = (xe + 5) * 10**17 + d.astype(np.int64)
+        miss = got != want[todo]
+        todo, up = todo[miss], got[miss] < want[todo[miss]]
+        x[todo] = np.nextafter(x[todo], np.where(up, np.inf, 0.0))
+    x[todo] = np.nan
+    return x
+
+
+def _loadtxt_rows(path, body: bytes):
+    """The (t, g, p) of read_events_csv by np.loadtxt, for any file of the grammar."""
     # In a row of three fields only an empty tree_id sits between two commas.
     empty_tree_rows = body.count(b",,")
     for empty, filled in _EMPTY_LABEL:
@@ -231,15 +334,8 @@ def read_events_csv(path, horizon: float | None = None) -> EventSequence:
         rows = load_csv_rows(body, dtype=_ROW_DTYPE)
     except ValueError as exc:
         raise _row_error(path, body, exc) from exc
-    ts = rows["t"].copy()
-    if horizon is None:
-        horizon = float(ts[-1]) if ts.size else 0.0
-    try:
-        if empty_tree_rows < ts.size:
-            return EventSequence(ts, horizon, rows["g"].copy(), rows["p"].copy())
-        return EventSequence(ts, horizon)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+    labeled = empty_tree_rows < rows.size
+    return rows["t"], rows["g"] if labeled else None, rows["p"] if labeled else None
 
 
 def load_csv_rows(data: bytes, **loadtxt_args) -> np.ndarray:
@@ -261,7 +357,10 @@ def _row_error(path, body: bytes, exc: ValueError) -> ValueError:
             return ValueError(f"{path}: row {n} has {len(fields)} fields, "
                               f"expected {len(CSV_HEADER)}")
         try:
-            float(fields[0]), int(fields[1]), int(fields[2])
+            for text, kind in zip(fields, (float, int, int)):
+                kind(text)
+                if not text.isascii() or "_" in text:  # Python reads these, loadtxt does not
+                    raise ValueError(f"could not convert string to {kind.__name__}: {text!r}")
         except ValueError as bad:
             return ValueError(f"{path}: row {n}: {bad}")
     return ValueError(f"{path}: {exc}")

@@ -67,8 +67,9 @@ def _rows_error(path, data: bytes, first_line: int, reason: str) -> ValueError:
         line = line.removesuffix("\r")
         if not line:
             continue
-        try:
-            ok = math.isfinite(float(line.split(",", 1)[0]))
+        field = line.split(",", 1)[0]
+        try:  # loadtxt refuses '_' and non-ASCII digits, which float() reads
+            ok = math.isfinite(float(field)) and field.isascii() and "_" not in field
         except ValueError:
             ok = False
         if not ok:

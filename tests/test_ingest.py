@@ -125,3 +125,11 @@ def test_non_finite_timestamps_refused_with_line_numbers(tmp_path, rows, lines):
     path.write_text("\n".join(rows) + "\n")
     with pytest.raises(ValueError, match=rf"raw\.csv: .*non-finite.* lines {lines}$"):
         ingest_timestamps(path)
+
+
+@pytest.mark.parametrize("text", ["ts\n1.5\n2_0.5\n", "ts\n1.5\n٢.5\n"])  # Arabic-Indic 2
+def test_fields_only_python_reads_are_named_by_line(tmp_path, text):
+    path = tmp_path / "raw.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError, match=r"unparsable or non-finite timestamps at lines 3$"):
+        ingest_timestamps(path)
