@@ -23,8 +23,8 @@ import sys
 from .branching import tree_sizes, write_tree_csv
 from .complexity import (ComplexityInputs, eta4_monte_carlo, required_T_nonprivate,
                          required_T_private, write_complexity_csv)
-from .config import (CONFIG_KEYS, ExperimentConfig, check_b_mode, delta_from_rule,
-                     load_config, parse_config_file, parse_value)
+from .config import (CONFIG_KEYS, ExperimentConfig, delta_from_rule, load_config,
+                     parse_config_file, parse_value)
 from .counts import bin_events, sample_stats
 from .errors import ConfigError, HorizonTooShort, NonConvergence, PreconditionViolated
 # invert_moments and privatize_stats are unused here but stay bound: the traced
@@ -32,7 +32,7 @@ from .errors import ConfigError, HorizonTooShort, NonConvergence, PreconditionVi
 from .estimator import EstimateResult, estimate, invert_moments
 from .events import read_events_csv, write_events_csv
 from .ingest import ingest_timestamps
-from .privacy import PrivacyBudget, SensitivitySpec, private_estimate, privatize_stats
+from .privacy import PrivacyBudget, check_b_mode, private_estimate, privatize_stats
 from .experiments import (BASELINE_B_MODE, emit_plot_script, run_sweep,
                           run_time_to_threshold, summarize_sweep,
                           write_summary_csv, write_sweep_csv, write_threshold_csv)
@@ -152,7 +152,7 @@ def cmd_estimate(args) -> int:
         if args.epsilon is None:
             raise ConfigError("--epsilon is required for privatize")
         b_mode = check_b_mode(args.b)
-        budget = PrivacyBudget(epsilon=args.epsilon / 2.0, gamma=config.gamma)
+        budget = PrivacyBudget.for_total(args.epsilon, config.gamma)
     events = _load_events(args, config, given)
     if not len(events):
         raise ValueError(f"{args.input}: the file holds no events")
@@ -164,9 +164,8 @@ def cmd_estimate(args) -> int:
 
     try:
         if budget is not None:
-            spec = SensitivitySpec.for_b_mode(config.bounds, config.gamma, b_mode)
             seed = config.seed if "seed" in given else secrets.randbits(128)
-            result = private_estimate(series, config.bounds, spec, budget, seed)
+            result = private_estimate(series, config.bounds, budget, b_mode, seed)
             print(f"private stats: eta_hat={result.eta_hat:.6g} "
                   f"sigma_sq_hat={result.sigma_sq_hat:.6g} (total budget {args.epsilon:g})")
         else:
@@ -231,7 +230,7 @@ def cmd_complexity(args) -> int:
     config, _ = _config_from_args(args)
     b_mode = check_b_mode(args.b)
     budget = (None if args.epsilon is None
-              else PrivacyBudget(epsilon=args.epsilon / 2.0, gamma=config.gamma))
+              else PrivacyBudget.for_total(args.epsilon, config.gamma))
     if args.private and budget is None:
         raise ConfigError("--epsilon is required for the private bound")
     if not args.private and (budget is not None or b_mode != "auto" or args.c is not None):

@@ -14,7 +14,6 @@ from statistics import NormalDist
 import numpy as np
 
 from .counts import MAX_BINS
-from .config import check_b_mode
 from .errors import ConfigError, PreconditionViolated
 from .hawkes import HawkesParams, ParamBounds
 from .privacy import PrivacyBudget, SensitivitySpec
@@ -169,7 +168,7 @@ def required_T_private(inputs: ComplexityInputs, budget: PrivacyBudget,
     c9 = c9_constant(inputs.bounds, constants)
     _check_preconditions(inputs, c9)
     b = inputs.bounds
-    spec = SensitivitySpec.for_b_mode(b, budget.gamma, check_b_mode(b_mode))
+    spec = SensitivitySpec.for_b_mode(b, budget.gamma, b_mode)
     xi, d, c = inputs.xi, inputs.delta_prob, inputs.c
     q = 1.0 - b.alpha_upper
     psi_16 = inverse_normal_cdf(1.0 - d / 16.0)

@@ -8,7 +8,7 @@ from functools import cached_property
 
 from .errors import ConfigError
 from .hawkes import HawkesParams, ParamBounds
-from .privacy import PrivacyBudget
+from .privacy import PrivacyBudget, check_b_mode
 
 OUT_DIR_ENV = "DPHAWKES_OUT"
 
@@ -42,15 +42,6 @@ def delta_from_rule(delta_mode: str, horizon: float) -> float:
     return value
 
 
-def check_b_mode(b: str) -> str:
-    """The label of a tree cap B as given by the user: 'auto', or a positive
-    integer a float holds exactly (at most 2**53, 16 digits) written as
-    str(int(b)), so '010' is labelled '10'."""
-    if b != "auto" and not (b.isdecimal() and len(b) <= 16 and 1 <= int(b) <= 2**53):
-        raise ConfigError(f"B must be a positive integer up to 2**53 or 'auto', got {b!r}")
-    return b if b == "auto" else str(int(b))
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     mu: float = 1.0
@@ -80,7 +71,7 @@ class ExperimentConfig:
         if not self.epsilons or not self.b_values:
             raise ConfigError("epsilon and B grids must be nonempty")
         for eps in self.epsilons:
-            PrivacyBudget(eps / 2.0, self.gamma)
+            PrivacyBudget.for_total(eps, self.gamma)
         object.__setattr__(self, "b_values", tuple(map(check_b_mode, self.b_values)))
         # cells are keyed by (epsilon, B): a repeated value would merge two cells
         if len(set(self.epsilons)) < len(self.epsilons):

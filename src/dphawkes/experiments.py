@@ -27,8 +27,8 @@ from .counts import CountSeries, bin_count, bin_events, sample_stats
 from .errors import ConfigError, HorizonTooShort, NonConvergence
 from .estimator import EstimateResult, estimate, invert_moments
 from .ingest import ingest_timestamps
-from .privacy import (PrivacyBudget, SensitivitySpec, mean_sensitivity, private_estimate,
-                      privatize_stats, validate_horizon, variance_sensitivity)
+from .privacy import (PrivacyBudget, mean_sensitivity, private_estimate, privatize_stats,
+                      validate_horizon, variance_sensitivity)
 from .rng import derived_seed
 from .simulate import branching_counts, simulate_branching
 from .tables import opt_float, read_table, write_table
@@ -58,18 +58,12 @@ class SweepRecord:
     wall_ms: float
 
 
-def _specs(config: ExperimentConfig) -> dict[str, SensitivitySpec]:
-    """The sensitivity spec of each B label, built once per run."""
-    return {b_mode: SensitivitySpec.for_b_mode(config.bounds, config.gamma, b_mode)
-            for b_mode in config.b_values}
-
-
 def _release(config: ExperimentConfig, series: CountSeries, eps_total: float,
-             spec: SensitivitySpec, seed: int) -> EstimateResult | None:
+             b_mode: str, seed: int) -> EstimateResult | None:
     """The private estimate of one (epsilon, B) cell, or None when it fails."""
-    budget = PrivacyBudget(epsilon=eps_total / 2.0, gamma=config.gamma)
+    budget = PrivacyBudget.for_total(eps_total, config.gamma)
     try:
-        return private_estimate(series, config.bounds, spec, budget, seed)
+        return private_estimate(series, config.bounds, budget, b_mode, seed)
     except (NonConvergence, HorizonTooShort):
         return None
 
@@ -83,8 +77,7 @@ def _record(epsilon: float, b_mode: str, rep: int, seed: int, result: EstimateRe
                        *result.normalized_errors(*truth), True, wall_ms)
 
 
-def _sweep_rep(config: ExperimentConfig, specs: dict[str, SensitivitySpec],
-               rep: int) -> list[SweepRecord]:
+def _sweep_rep(config: ExperimentConfig, rep: int) -> list[SweepRecord]:
     """All records for one repetition: one privatized row per (epsilon, b_mode)
     cell in grid order, then the baseline row of the shared simulated series."""
     sim_seed = derived_seed(config.seed, 0, rep)
@@ -100,7 +93,7 @@ def _sweep_rep(config: ExperimentConfig, specs: dict[str, SensitivitySpec],
         for bi, b_mode in enumerate(config.b_values):
             cell_seed = derived_seed(config.seed, 1, rep, ei, bi)
             t0 = time.perf_counter()
-            result = _release(config, series, eps_total, specs[b_mode], cell_seed)
+            result = _release(config, series, eps_total, b_mode, cell_seed)
             records.append(_record(eps_total, b_mode, rep, cell_seed, result, truth,
                                    (time.perf_counter() - t0) * 1000.0))
     records.append(_record(math.inf, BASELINE_B_MODE, rep, sim_seed, base, truth, base_ms))
@@ -115,7 +108,7 @@ def run_sweep(config: ExperimentConfig, workers: int = 1) -> list[SweepRecord]:
     """
     if not workers >= 1:
         raise ConfigError(f"workers must be at least 1, got {workers}")
-    job = functools.partial(_sweep_rep, config, _specs(config))
+    job = functools.partial(_sweep_rep, config)
     reps = range(config.repetitions)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -185,7 +178,6 @@ def run_time_to_threshold(config: ExperimentConfig, threshold: float,
     deltas = [delta_from_rule(config.delta_mode, horizon) for horizon in probes]
     bins = [bin_count(horizon, delta) for horizon, delta in zip(probes, deltas)]  # before simulating
     base = deltas[0] if len(set(deltas)) == 1 else float(math.gcd(*map(int, deltas)))
-    specs = _specs(config)
     fine = [branching_counts(config.params, t_max, derived_seed(config.seed, 3, rep), base).counts
             for rep in range(config.repetitions)]
 
@@ -203,7 +195,7 @@ def run_time_to_threshold(config: ExperimentConfig, threshold: float,
         for cell in pending:
             errs = []
             for series, noise_seed in reps:
-                result = _release(config, series, cell.epsilon, specs[cell.b_mode], noise_seed)
+                result = _release(config, series, cell.epsilon, cell.b_mode, noise_seed)
                 errs.append(math.inf if result is None
                             else result.normalized_errors(config.mu, config.alpha)[1])
             median = float(np.median(errs))

@@ -7,8 +7,10 @@ sample statistics is driven by the largest tree: either a known cap B
 (validate_horizon's threshold and T >= e^{1/c2}). One formula serves both: relation-unaware is the
 relation-aware mechanism with B = c2*log(T) (SensitivitySpec.tree_cap).
 Budgets here are per statistic; the released pair composes to twice the
-per-statistic epsilon. private_estimate is the one release path: every private
-estimate in the package goes through it.
+per-statistic epsilon (PrivacyBudget.for_total halves a total). A release, like its
+bound complexity.required_T_private, is requested as (budget, B label), whose one
+grammar and meaning are check_b_mode and SensitivitySpec.for_b_mode; every private
+estimate in the package goes through private_estimate, the one release path.
 """
 from __future__ import annotations
 
@@ -37,6 +39,20 @@ class PrivacyBudget:
             raise ConfigError("epsilon must be positive")
         if not 0 < self.gamma <= 0.5:
             raise ConfigError("gamma must lie in (0, 1/2]")
+
+    @classmethod
+    def for_total(cls, epsilon_total: float, gamma: float) -> "PrivacyBudget":
+        """The per-statistic budget of a released pair of total epsilon_total."""
+        return cls(epsilon_total / 2.0, gamma)
+
+
+def check_b_mode(b: str) -> str:
+    """The label of a tree cap B as given by the user: 'auto', or a positive
+    integer a float holds exactly (at most 2**53, 16 digits) written as
+    str(int(b)), so '010' is labelled '10'."""
+    if b != "auto" and not (b.isdecimal() and len(b) <= 16 and 1 <= int(b) <= 2**53):
+        raise ConfigError(f"B must be a positive integer up to 2**53 or 'auto', got {b!r}")
+    return b if b == "auto" else str(int(b))
 
 
 def c1_constant(bounds: ParamBounds, gamma: float) -> float:
@@ -87,8 +103,8 @@ class SensitivitySpec:
 
     @classmethod
     def for_b_mode(cls, bounds: ParamBounds, gamma: float, b_mode: str) -> "SensitivitySpec":
-        """'auto' selects relation-unaware; anything else is a tree cap B."""
-        if b_mode == "auto":
+        """'auto' selects relation-unaware; any other check_b_mode label is a cap B."""
+        if check_b_mode(b_mode) == "auto":
             return cls.relation_unaware(bounds, gamma)
         return cls.relation_aware(bounds, gamma, int(b_mode))
 
@@ -166,15 +182,17 @@ def privatize_stats(stats: SampleStats, spec: SensitivitySpec, budget: PrivacyBu
                        sigma_sq_hat=stats.sigma_sq_hat + var_scale * var_noise, k=stats.k)
 
 
-def private_estimate(series: CountSeries, bounds: ParamBounds, spec: SensitivitySpec,
-                     budget: PrivacyBudget, seed: int | np.random.Generator) -> EstimateResult:
+def private_estimate(series: CountSeries, bounds: ParamBounds, budget: PrivacyBudget,
+                     b_mode: str, seed: int | np.random.Generator) -> EstimateResult:
     """privatize_stats then invert_moments, labeled with the composed budget.
 
-    Raises HorizonTooShort as privatize_stats does, and NonConvergence when
-    the inversion fails or the noise leaves a nonpositive mean. Relation-aware
-    release composes to (gamma, 2*epsilon) random-DP; relation-unaware to
-    (2*gamma, 2*epsilon).
+    The spec is SensitivitySpec.for_b_mode's, so a refused label is a
+    ConfigError. Raises HorizonTooShort as privatize_stats does, and
+    NonConvergence when the inversion fails or the noise leaves a nonpositive
+    mean. Relation-aware release composes to (gamma, 2*epsilon) random-DP;
+    relation-unaware to (2*gamma, 2*epsilon).
     """
+    spec = SensitivitySpec.for_b_mode(bounds, budget.gamma, b_mode)
     priv = privatize_stats(sample_stats(series), spec, budget, series.delta,
                            series.horizon, seed)
     if not priv.eta_hat > 0:

@@ -217,7 +217,7 @@ def test_private_estimate_metadata_and_limit():
     series = bin_events(simulate_branching(p, 100000.0, seed=41), 10.0)
     base = estimate(series, PAPER)
     budget = PrivacyBudget(epsilon=math.inf, gamma=GAMMA)
-    priv = private_estimate(series, PAPER, spec_aware(10), budget, seed=2)
+    priv = private_estimate(series, PAPER, budget, "10", seed=2)
     assert priv.mu_hat == pytest.approx(base.mu_hat, abs=1e-10)
     assert priv.alpha_hat == pytest.approx(base.alpha_hat, abs=1e-10)
     assert priv.epsilon_total == math.inf
@@ -225,9 +225,8 @@ def test_private_estimate_metadata_and_limit():
     assert priv.b_mode == "10"
 
     # gamma = 0.5 pulls the relation-unaware threshold below T = 1e5
-    loose = SensitivitySpec.relation_unaware(PAPER, 0.5)
-    priv = private_estimate(series, PAPER, loose,
-                            PrivacyBudget(epsilon=5.0, gamma=0.5), seed=2)
+    priv = private_estimate(series, PAPER, PrivacyBudget(epsilon=5.0, gamma=0.5), "auto",
+                            seed=2)
     assert priv.gamma_total == 1.0
     assert priv.epsilon_total == 10.0
     assert priv.b_mode == "auto"
@@ -240,7 +239,25 @@ def test_private_estimate_nonpositive_mean_is_nonconvergence():
                            series.delta, series.horizon, seed=2)
     assert priv.eta_hat == pytest.approx(-108.979, abs=1e-3)
     with pytest.raises(NonConvergence, match="nonpositive"):
-        private_estimate(series, PAPER, spec_aware(100), budget, seed=2)
+        private_estimate(series, PAPER, budget, "100", seed=2)
+
+
+@pytest.mark.parametrize("b_mode", ["0", "-1", "+7", " 7", "ten", ""])
+def test_private_estimate_refuses_the_labels_its_bound_refuses(b_mode):
+    # as required_T_private does; "0" once released the exact statistics
+    # labelled as a noisy release
+    series = bin_events(simulate_branching(HawkesParams(1.0, 0.5), 1000.0, seed=1), 10.0)
+    with pytest.raises(ConfigError, match="B must be a positive integer"):
+        private_estimate(series, PAPER, PrivacyBudget(0.05, 0.05), b_mode, seed=9)
+
+
+def test_private_estimate_labels_the_canonical_b_and_the_total_budget():
+    series = bin_events(simulate_branching(HawkesParams(1.0, 0.5), 10000.0, seed=41), 10.0)
+    budget = PrivacyBudget.for_total(0.3, GAMMA)
+    assert budget == PrivacyBudget(0.3 / 2.0, GAMMA)
+    priv = private_estimate(series, PAPER, budget, "007", seed=2)
+    assert (priv.b_mode, priv.epsilon_total) == ("7", 0.3)
+    assert priv == private_estimate(series, PAPER, budget, "7", seed=2)
 
 
 def test_spec_for_b_mode_and_horizon_threshold():
@@ -265,7 +282,7 @@ def test_private_estimate_small_budget_often_fails():
     failures = 0
     for seed in range(100):
         try:
-            private_estimate(series, PAPER, spec_aware(100), budget, seed=seed)
+            private_estimate(series, PAPER, budget, "100", seed=seed)
         except NonConvergence:
             failures += 1
     assert failures >= 20

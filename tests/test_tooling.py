@@ -1,4 +1,5 @@
 """Guards for the tooling that drives the library from outside."""
+import ast
 import importlib
 from pathlib import Path
 
@@ -7,6 +8,7 @@ import pytest
 from dphawkes import cli
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SRC = Path(__file__).resolve().parents[1] / "src" / "dphawkes"
 
 
 def test_benchmark_tracer_wraps_bound_names(monkeypatch):
@@ -36,3 +38,20 @@ def test_benchmark_command_lines_parse(monkeypatch, tmp_path):
             parser.parse_args(argv)
         except SystemExit:
             pytest.fail(f"benchmark command line does not parse: {argv}")
+
+
+def test_release_spec_and_b_label_grammar_live_in_privacy():
+    # A release and its bound are requested as (budget, B label): only privacy
+    # builds a SensitivitySpec from the label (complexity reads the spec's
+    # constants, the package re-exports the type), and the label's grammar is
+    # defined once, beside SensitivitySpec.for_b_mode.
+    naming, defining = set(), set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if "SensitivitySpec" in (getattr(node, "id", None), getattr(node, "attr", None),
+                                     getattr(node, "name", None)):
+                naming.add(path.name)
+            if isinstance(node, ast.FunctionDef) and node.name == "check_b_mode":
+                defining.add(path.name)
+    assert naming == {"__init__.py", "privacy.py", "complexity.py"}
+    assert defining == {"privacy.py"}
