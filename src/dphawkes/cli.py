@@ -26,7 +26,7 @@ from .complexity import (ComplexityInputs, eta4_monte_carlo, required_T_nonpriva
 from .config import (CONFIG_KEYS, ExperimentConfig, delta_from_rule, load_config,
                      parse_config_file, parse_value)
 from .counts import bin_events, sample_stats
-from .errors import ConfigError, HorizonTooShort, NonConvergence, PreconditionViolated
+from .errors import ConfigError, EstimationFailed, PreconditionViolated
 # invert_moments and privatize_stats are unused here but stay bound: the traced
 # benchmark (perfbench/spans.py) wraps them by module attribute.
 from .estimator import EstimateResult, estimate, invert_moments
@@ -159,8 +159,11 @@ def cmd_estimate(args) -> int:
     delta = delta_from_rule(config.delta_mode, events.horizon)
     series = bin_events(events, delta)
     stats = sample_stats(series)
-    print(f"bins K={stats.k} delta={delta:g}  eta_hat={stats.eta_hat:.6g} "
-          f"sigma_sq_hat={stats.sigma_sq_hat:.6g}")
+    if budget is None and not stats.eta_hat > 0:
+        raise ValueError(f"{args.input}: none of its events falls in the K={stats.k} whole bins")
+    # the exact statistics are printed by estimate only, never beside a release
+    exact = f"  eta_hat={stats.eta_hat:.6g} sigma_sq_hat={stats.sigma_sq_hat:.6g}"
+    print(f"bins K={stats.k} delta={delta:g}{exact if budget is None else ''}")
 
     try:
         if budget is not None:
@@ -170,7 +173,7 @@ def cmd_estimate(args) -> int:
                   f"sigma_sq_hat={result.sigma_sq_hat:.6g} (total budget {args.epsilon:g})")
         else:
             result = estimate(series, config.bounds)
-    except (NonConvergence, HorizonTooShort):
+    except EstimationFailed:
         if args.out:
             _write_result_csv(args.out, None, None, None)
         raise
@@ -374,7 +377,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (NonConvergence, HorizonTooShort) as exc:
+    except EstimationFailed as exc:
         print(f"estimation failed: {exc}", file=sys.stderr)
         return EXIT_ESTIMATION
     except ValueError as exc:

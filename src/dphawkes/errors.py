@@ -1,11 +1,15 @@
 """Exception types shared across the package."""
 
 
-class NonConvergence(RuntimeError):
+class EstimationFailed(Exception):
+    """No estimate can be made from the data; the CLI exits 4, a sweep records converged=0."""
+
+
+class NonConvergence(EstimationFailed, RuntimeError):
     """Moment inversion found no root in the admissible alpha bracket."""
 
 
-class HorizonTooShort(ValueError):
+class HorizonTooShort(EstimationFailed, ValueError):
     """Observation horizon below the relation-unaware sensitivity threshold."""
 
 

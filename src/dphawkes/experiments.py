@@ -24,7 +24,7 @@ from .config import ExperimentConfig, delta_from_rule
 # simulate_branching are unused here, but they stay bound: the traced benchmark
 # (perfbench/spans.py) wraps them by module attribute. Simulated series come from branching_counts.
 from .counts import CountSeries, bin_count, bin_events, sample_stats
-from .errors import ConfigError, HorizonTooShort, NonConvergence
+from .errors import ConfigError, EstimationFailed
 from .estimator import EstimateResult, estimate, invert_moments
 from .ingest import ingest_timestamps
 from .privacy import (PrivacyBudget, mean_sensitivity, private_estimate, privatize_stats,
@@ -60,43 +60,34 @@ class SweepRecord:
 
 def _release(config: ExperimentConfig, series: CountSeries, eps_total: float,
              b_mode: str, seed: int) -> EstimateResult | None:
-    """The private estimate of one (epsilon, B) cell, or None when it fails."""
-    budget = PrivacyBudget.for_total(eps_total, config.gamma)
+    """A row's estimate, None when it fails: non-private on the baseline row, else private."""
     try:
+        if b_mode == BASELINE_B_MODE:
+            return estimate(series, config.bounds)
+        budget = PrivacyBudget.for_total(eps_total, config.gamma)
         return private_estimate(series, config.bounds, budget, b_mode, seed)
-    except (NonConvergence, HorizonTooShort):
+    except EstimationFailed:
         return None
 
 
-def _record(epsilon: float, b_mode: str, rep: int, seed: int, result: EstimateResult | None,
-            truth: tuple[float, float], wall_ms: float) -> SweepRecord:
-    """A sweep row; a failed estimate (result None) has converged=0 and no values."""
-    if result is None:
-        return SweepRecord(epsilon, b_mode, rep, seed, None, None, None, None, False, wall_ms)
-    return SweepRecord(epsilon, b_mode, rep, seed, result.mu_hat, result.alpha_hat,
-                       *result.normalized_errors(*truth), True, wall_ms)
-
-
 def _sweep_rep(config: ExperimentConfig, rep: int) -> list[SweepRecord]:
-    """All records for one repetition: one privatized row per (epsilon, b_mode)
-    cell in grid order, then the baseline row of the shared simulated series."""
+    """All records for one repetition: one privatized row per (epsilon, b_mode) cell in
+    grid order, then the baseline row. A failed estimate is a converged=0 row of no values."""
     sim_seed = derived_seed(config.seed, 0, rep)
     series = branching_counts(config.params, config.horizon, sim_seed, config.delta)
     sample_stats(series)  # outside the time of every row that reads the statistics
-    t0 = time.perf_counter()
-    base = estimate(series, config.bounds)
-    base_ms = (time.perf_counter() - t0) * 1000.0
-    truth = (config.mu, config.alpha)
-
+    rows = [(eps_total, b_mode, derived_seed(config.seed, 1, rep, ei, bi))
+            for ei, eps_total in enumerate(config.epsilons)
+            for bi, b_mode in enumerate(config.b_values)]
+    rows.append((math.inf, BASELINE_B_MODE, sim_seed))
     records: list[SweepRecord] = []
-    for ei, eps_total in enumerate(config.epsilons):
-        for bi, b_mode in enumerate(config.b_values):
-            cell_seed = derived_seed(config.seed, 1, rep, ei, bi)
-            t0 = time.perf_counter()
-            result = _release(config, series, eps_total, b_mode, cell_seed)
-            records.append(_record(eps_total, b_mode, rep, cell_seed, result, truth,
-                                   (time.perf_counter() - t0) * 1000.0))
-    records.append(_record(math.inf, BASELINE_B_MODE, rep, sim_seed, base, truth, base_ms))
+    for eps, b_mode, seed in rows:
+        t0 = time.perf_counter()
+        result = _release(config, series, eps, b_mode, seed)
+        wall_ms = (time.perf_counter() - t0) * 1000.0
+        values = (None,) * 4 if result is None else (
+            result.mu_hat, result.alpha_hat, *result.normalized_errors(config.mu, config.alpha))
+        records.append(SweepRecord(eps, b_mode, rep, seed, *values, result is not None, wall_ms))
     return records
 
 

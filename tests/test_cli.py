@@ -9,6 +9,7 @@ import pytest
 
 from dphawkes.cli import (EXIT_ALL_FAILED, EXIT_CONFIG, EXIT_ESTIMATION, EXIT_IO,
                           EXIT_OK, main)
+from dphawkes.experiments import read_summary_csv, read_sweep_csv
 
 
 def run(*argv):
@@ -100,6 +101,35 @@ def test_privatize_requires_epsilon(tmp_path):
                "--out_dir", str(tmp_path)) == EXIT_OK
 
 
+def test_privatize_prints_no_exact_statistics(tmp_path, capsys):
+    path = tmp_path / "ev.csv"
+    run("simulate", "--mu", "1", "--alpha", "0.5", "--horizon", "5000",
+        "--seed", "4", "--out_dir", str(tmp_path), "--out", str(path))
+    capsys.readouterr()
+    assert run("estimate", str(path), "--out_dir", str(tmp_path)) == EXIT_OK
+    bins, exact = capsys.readouterr().out.splitlines()[0].split("  ")
+    assert bins.startswith("bins K=") and exact.startswith("eta_hat=")
+    assert run("privatize", str(path), "--epsilon", "5", "--seed", "12345",
+               "--out_dir", str(tmp_path)) == EXIT_OK
+    printed = capsys.readouterr().out
+    assert printed.splitlines()[0] == bins  # K and delta are public
+    assert printed.splitlines()[1].startswith("private stats: eta_hat=")
+    for value in exact.split():
+        assert value not in printed
+
+
+def test_estimate_with_no_event_in_a_whole_bin_names_the_file(tmp_path, capsys):
+    path = tmp_path / "late.csv"
+    path.write_text("timestamp,tree_id,parent_idx\n25,,\n")
+    flags = ("--horizon", "29", "--delta_mode", "10", "--out_dir", str(tmp_path))
+    assert run("estimate", str(path), *flags) == EXIT_IO
+    assert f"{path}: none of its events falls in the K=2 whole bins" in capsys.readouterr().err
+    # privatize decides nothing on the exact statistics: it releases, here into a failure
+    assert run("privatize", str(path), "--epsilon", "10", "--seed", "1", *flags) \
+        == EXIT_ESTIMATION
+    assert "estimation failed" in capsys.readouterr().err
+
+
 def _result_row(path) -> dict:
     header, row = path.read_text().splitlines()
     return dict(zip(header.split(","), row.split(",")))
@@ -189,6 +219,22 @@ def test_sweep_cli_and_all_failed(tmp_path):
                "--repetitions", "2", "--epsilons", "1", "--b_values", "auto",
                "--seed", "2", "--delta_mode", "10", "--out_dir", str(tmp_path))
     assert code == EXIT_ALL_FAILED
+
+
+def test_sweep_with_failed_baselines_exits_on_the_grid_cells(tmp_path, capsys):
+    # some of these baselines do not invert (tests/test_experiments.py FAILING_BASELINES)
+    code = run("sweep", "--mu", "1", "--alpha", "0.74", "--horizon", "2000",
+               "--repetitions", "10", "--epsilons", "1", "--b_values", "10",
+               "--out_dir", str(tmp_path))
+    assert code == EXIT_OK
+    baseline = [r for r in read_sweep_csv(tmp_path / "sweep.csv") if r.b_mode == "none"]
+    assert len(baseline) == 10
+    assert any(not r.converged for r in baseline)
+    rows = [line for line in (tmp_path / "sweep.csv").read_text().splitlines()
+            if line.startswith("inf,none,")]
+    assert any(",,,,0," in line for line in rows)
+    summary = {row["b_mode"]: row for row in read_summary_csv(tmp_path / "sweep_summary.csv")}
+    assert summary["none"]["n_converged"] < summary["none"]["n"] == 10
 
 
 @pytest.mark.parametrize("flag, value", [("--epsilons", "10,10"), ("--b_values", "10,010")])

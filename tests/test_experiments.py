@@ -6,8 +6,8 @@ import time
 import numpy as np
 import pytest
 
-from dphawkes import (ConfigError, bin_events, branching_counts, estimate, sample_stats,
-                      simulate_branching)
+from dphawkes import (ConfigError, NonConvergence, bin_events, branching_counts, estimate,
+                      sample_stats, simulate_branching)
 from dphawkes import experiments
 from dphawkes.config import ExperimentConfig, delta_from_rule
 from dphawkes.counts import bin_times
@@ -153,6 +153,34 @@ def test_parallel_workers_match_serial():
     parallel = run_sweep(cfg, workers=2)
     for a, b in zip(serial, parallel):
         assert dataclasses.replace(a, wall_ms=0.0) == dataclasses.replace(b, wall_ms=0.0)
+
+
+# At alpha = 0.74 and T = 2000 the sample variance of some simulated series
+# exceeds the variance alpha_upper = 0.75 attains: their baselines do not invert.
+FAILING_BASELINES = dict(mu=1.0, alpha=0.74, horizon=2000.0, repetitions=10,
+                         epsilons=(1.0,), b_values=("10",), seed=12345)
+
+
+def test_failed_baselines_are_converged_zero_rows():
+    cfg = ExperimentConfig(**FAILING_BASELINES)
+    records = run_sweep(cfg)
+    assert len(records) == 2 * cfg.repetitions
+    baseline = [r for r in records if r.b_mode == BASELINE_B_MODE]
+    assert [r.rep for r in baseline] == list(range(cfg.repetitions))
+    failed = [r for r in baseline if not r.converged]
+    assert 0 < len(failed) < len(baseline)
+    for r in failed:
+        assert (r.mu_hat, r.alpha_hat, r.err_mu, r.err_alpha) == (None, None, None, None)
+        series = branching_counts(cfg.params, cfg.horizon, r.seed, cfg.delta)
+        with pytest.raises(NonConvergence, match="alpha_upper"):
+            estimate(series, cfg.bounds)
+
+
+def test_parallel_workers_match_serial_with_failed_baselines():
+    cfg = ExperimentConfig(**FAILING_BASELINES)
+    serial, parallel = (run_sweep(cfg, workers=w) for w in (1, 2))
+    assert ([dataclasses.replace(r, wall_ms=0.0) for r in serial]
+            == [dataclasses.replace(r, wall_ms=0.0) for r in parallel])
 
 
 def test_sweep_refuses_fewer_than_one_worker():

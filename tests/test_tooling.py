@@ -55,3 +55,23 @@ def test_release_spec_and_b_label_grammar_live_in_privacy():
                 defining.add(path.name)
     assert naming == {"__init__.py", "privacy.py", "complexity.py"}
     assert defining == {"privacy.py"}
+
+
+def test_estimation_failures_are_caught_by_their_base_class():
+    # A failed estimate is one rule: an except clause names EstimationFailed,
+    # never one of its subclasses, and the base class is defined once.
+    from dphawkes import EstimationFailed, HorizonTooShort, NonConvergence
+    caught, defining = set(), set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                caught |= {getattr(n, "id", getattr(n, "attr", None))
+                           for n in ast.walk(node.type)}
+            if isinstance(node, ast.ClassDef) and node.name == "EstimationFailed":
+                defining.add(path.name)
+    assert "EstimationFailed" in caught
+    assert not caught & {"NonConvergence", "HorizonTooShort"}
+    assert defining == {"errors.py"}
+    assert issubclass(NonConvergence, RuntimeError) and issubclass(HorizonTooShort, ValueError)
+    assert issubclass(NonConvergence, EstimationFailed)
+    assert issubclass(HorizonTooShort, EstimationFailed)
