@@ -6,8 +6,8 @@ from .complexity import (ComplexityInputs, ComplexityReport, Eta4Estimate,
                          c9_constant, eta4_monte_carlo, inverse_normal_cdf,
                          required_T_mean, required_T_nonprivate, required_T_private)
 from .counts import CountSeries, SampleStats, bin_events, sample_stats
-from .errors import (ConfigError, EstimationFailed, HorizonTooShort, NonConvergence,
-                     PreconditionViolated)
+from .errors import (ConfigError, EstimationFailed, HorizonTooShort, NoCountedEvents,
+                     NonConvergence, PreconditionViolated)
 from .estimator import EstimateResult, estimate, invert_moments
 from .events import EventSequence, read_events_csv, write_events_csv
 from .hawkes import (HawkesParams, ParamBounds, TheoreticalMoments, intensity_at,
@@ -26,7 +26,8 @@ __all__ = [
     "eta4_monte_carlo", "inverse_normal_cdf", "required_T_mean",
     "required_T_nonprivate", "required_T_private",
     "CountSeries", "SampleStats", "bin_events", "sample_stats",
-    "ConfigError", "EstimationFailed", "HorizonTooShort", "NonConvergence", "PreconditionViolated",
+    "ConfigError", "EstimationFailed", "HorizonTooShort", "NoCountedEvents", "NonConvergence",
+    "PreconditionViolated",
     "EstimateResult", "estimate", "invert_moments",
     "EventSequence", "read_events_csv", "write_events_csv",
     "HawkesParams", "ParamBounds", "TheoreticalMoments", "intensity_at",

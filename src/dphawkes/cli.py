@@ -37,7 +37,7 @@ from .experiments import (BASELINE_B_MODE, emit_plot_script, run_sweep,
                           run_time_to_threshold, summarize_sweep,
                           write_summary_csv, write_sweep_csv, write_threshold_csv)
 from .simulate import simulate_branching, simulate_thinning
-from .tables import write_table
+from .tables import cell, write_table
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -83,8 +83,7 @@ def _ensure_out_dir(config: ExperimentConfig) -> str:
 
 def _write_meta(path, entries: dict) -> None:
     with open(path, "w") as fh:
-        for key, value in entries.items():
-            fh.write(f"{key}={value}\n")
+        fh.writelines(f"{key}={cell(value)}\n" for key, value in entries.items())
 
 
 def _read_meta(path) -> dict:
@@ -98,17 +97,15 @@ def _read_meta(path) -> dict:
     return entries
 
 
-def cmd_simulate(args) -> int:
-    config, _ = _config_from_args(args)
+def cmd_simulate(args, config: ExperimentConfig, given: set) -> int:
     out_dir = _ensure_out_dir(config)
     out = args.out or os.path.join(out_dir, "events.csv")
     simulate = simulate_thinning if args.algorithm == "thinning" else simulate_branching
     events = simulate(config.params, config.horizon, config.seed, warmup=args.warmup)
     write_events_csv(events, out)
     _write_meta(out + ".meta", {
-        "mu": f"{config.mu:.17g}", "alpha": f"{config.alpha:.17g}",
-        "horizon": f"{config.horizon:.17g}",
-        "warmup": "default" if args.warmup is None else f"{args.warmup:.17g}",
+        "mu": config.mu, "alpha": config.alpha, "horizon": config.horizon,
+        "warmup": "default" if args.warmup is None else args.warmup,
         "seed": config.seed, "algorithm": args.algorithm})
     print(f"wrote {len(events)} events to {out}")
     return EXIT_OK
@@ -143,10 +140,9 @@ def _write_result_csv(path, result: EstimateResult | None, err_mu, err_alpha) ->
     write_table(path, RESULT_CSV_HEADER, [row])
 
 
-def cmd_estimate(args) -> int:
+def cmd_estimate(args, config: ExperimentConfig, given: set) -> int:
     """estimate, or privatize: the release draws its noise from the given seed,
     else from fresh entropy, never from the default seed."""
-    config, given = _config_from_args(args)
     budget = None
     if args.command == "privatize":
         if args.epsilon is None:
@@ -191,8 +187,7 @@ def cmd_estimate(args) -> int:
     return EXIT_OK
 
 
-def cmd_sweep(args) -> int:
-    config, _ = _config_from_args(args)
+def cmd_sweep(args, config: ExperimentConfig, given: set) -> int:
     out_dir = _ensure_out_dir(config)
     records = run_sweep(config, workers=args.workers)
     sweep_path = os.path.join(out_dir, "sweep.csv")
@@ -215,8 +210,7 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def cmd_time_to_threshold(args) -> int:
-    config, _ = _config_from_args(args)
+def cmd_time_to_threshold(args, config: ExperimentConfig, given: set) -> int:
     out_dir = _ensure_out_dir(config)
     cells = run_time_to_threshold(config, args.threshold,
                                   t_min=args.t_min, t_max=args.t_max)
@@ -229,8 +223,7 @@ def cmd_time_to_threshold(args) -> int:
     return EXIT_OK
 
 
-def cmd_complexity(args) -> int:
-    config, _ = _config_from_args(args)
+def cmd_complexity(args, config: ExperimentConfig, given: set) -> int:
     b_mode = check_b_mode(args.b)
     budget = (None if args.epsilon is None
               else PrivacyBudget.for_total(args.epsilon, config.gamma))
@@ -265,8 +258,7 @@ def cmd_complexity(args) -> int:
     return EXIT_OK
 
 
-def cmd_tree_stats(args) -> int:
-    config, given = _config_from_args(args)
+def cmd_tree_stats(args, config: ExperimentConfig, given: set) -> int:
     events = _load_events(args, config, given)
     try:
         stats = tree_sizes(events)
@@ -279,13 +271,12 @@ def cmd_tree_stats(args) -> int:
     return EXIT_OK
 
 
-def cmd_ingest(args) -> int:
-    config, _ = _config_from_args(args)
+def cmd_ingest(args, config: ExperimentConfig, given: set) -> int:
     events = ingest_timestamps(args.input, time_unit_scale=args.scale)
     out = args.out or os.path.join(_ensure_out_dir(config), "ingested.csv")
     write_events_csv(events, out)
-    _write_meta(out + ".meta", {"source": args.input, "scale": f"{args.scale:.17g}",
-                                "horizon": f"{events.horizon:.17g}"})
+    _write_meta(out + ".meta", {"source": args.input, "scale": args.scale,
+                                "horizon": events.horizon})
     print(f"ingested {len(events)} events, horizon {events.horizon:g}; wrote {out}")
     return EXIT_OK
 
@@ -370,7 +361,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        config, given = _config_from_args(args)
+        return args.func(args, config, given)
     except (ConfigError, PreconditionViolated) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

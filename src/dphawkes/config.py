@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 from .errors import ConfigError
@@ -14,10 +14,6 @@ OUT_DIR_ENV = "DPHAWKES_OUT"
 
 # Delta = round-to-multiple-of-5(c * log T); c chosen so Delta = 10 at T = 1e5.
 LOG_RULE_C = 10.0 / math.log(1e5)
-
-CONFIG_KEYS = ("mu", "alpha", "mu_lower", "mu_upper", "alpha_lower", "alpha_upper",
-               "gamma", "epsilons", "b_values", "delta_mode", "horizon",
-               "repetitions", "seed", "out_dir")
 
 DEFAULT_EPSILONS = (0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 50.0)
 DEFAULT_B_VALUES = ("10", "25", "100", "auto")
@@ -94,19 +90,17 @@ class ExperimentConfig:
         return delta_from_rule(self.delta_mode, self.horizon)
 
 
+# A value's parser by its field's annotation; a type with no parser is a KeyError at import.
+_PARSERS = {"float": float, "int": int, "str": str,
+            "tuple[float, ...]": lambda raw: tuple(float(t) for t in raw.split(",") if t.strip()),
+            "tuple[str, ...]": lambda raw: tuple(t.strip() for t in raw.split(",") if t.strip())}
+_FIELD_PARSERS = {f.name: _PARSERS[f.type] for f in fields(ExperimentConfig)}
+CONFIG_KEYS = tuple(_FIELD_PARSERS)  # every field, in declaration order
+
+
 def parse_value(key: str, raw: str):
     """A config value from its text, as written in a file or given as a flag."""
-    raw = raw.strip()
-    if key in ("mu", "alpha", "mu_lower", "mu_upper", "alpha_lower", "alpha_upper",
-               "gamma", "horizon"):
-        return float(raw)
-    if key in ("repetitions", "seed"):
-        return int(raw)
-    if key == "epsilons":
-        return tuple(float(tok) for tok in raw.split(",") if tok.strip())
-    if key == "b_values":
-        return tuple(tok.strip() for tok in raw.split(",") if tok.strip())
-    return raw  # delta_mode, out_dir
+    return _FIELD_PARSERS[key](raw.strip())
 
 
 def parse_config_file(path) -> dict:

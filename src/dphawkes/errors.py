@@ -13,6 +13,10 @@ class HorizonTooShort(EstimationFailed, ValueError):
     """Observation horizon below the relation-unaware sensitivity threshold."""
 
 
+class NoCountedEvents(EstimationFailed, ValueError):
+    """No event falls in the series' whole bins, so its sample mean is zero."""
+
+
 class PreconditionViolated(ValueError):
     """A stated precondition of a bound or calculator does not hold."""
 

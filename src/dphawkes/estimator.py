@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .counts import CountSeries, sample_stats
-from .errors import NonConvergence
+from .errors import NoCountedEvents, NonConvergence
 from .hawkes import HawkesParams, ParamBounds, bin_variance, theoretical_moments
 
 # Fixed solver tolerances: far below Monte-Carlo noise at every relevant scale.
@@ -107,6 +107,8 @@ def invert_moments(eta_hat: float, sigma_sq_hat: float, delta: float,
 
 
 def estimate(series: CountSeries, bounds: ParamBounds) -> EstimateResult:
-    """invert_moments on the series' statistics."""
+    """invert_moments on the series' statistics; NoCountedEvents when their mean is zero."""
     stats = sample_stats(series)
+    if not stats.eta_hat > 0:
+        raise NoCountedEvents(f"none of the series' events falls in its K={stats.k} whole bins")
     return invert_moments(stats.eta_hat, stats.sigma_sq_hat, series.delta, bounds)

@@ -347,6 +347,15 @@ def load_csv_rows(data: bytes, **loadtxt_args) -> np.ndarray:
                           **loadtxt_args)
 
 
+def loadtxt_field(text: str, kind=float):
+    """kind(text), refused where np.loadtxt refuses the field: Python's float()
+    and int() also read '_' separators and non-ASCII digits."""
+    value = kind(text)
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"could not convert string to {kind.__name__}: {text!r}")
+    return value
+
+
 def _row_error(path, body: bytes, exc: ValueError) -> ValueError:
     """The first row of body that is refused, numbered as tables.read_table
     numbers rows; the parser's own message if no row is found at fault."""
@@ -358,9 +367,7 @@ def _row_error(path, body: bytes, exc: ValueError) -> ValueError:
                               f"expected {len(CSV_HEADER)}")
         try:
             for text, kind in zip(fields, (float, int, int)):
-                kind(text)
-                if not text.isascii() or "_" in text:  # Python reads these, loadtxt does not
-                    raise ValueError(f"could not convert string to {kind.__name__}: {text!r}")
+                loadtxt_field(text, kind)
         except ValueError as bad:
             return ValueError(f"{path}: row {n}: {bad}")
     return ValueError(f"{path}: {exc}")

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 
 from .errors import ConfigError
-from .events import EventSequence, load_csv_rows
+from .events import EventSequence, load_csv_rows, loadtxt_field
 
 
 def ingest_timestamps(path, time_unit_scale: float = 1.0) -> EventSequence:
@@ -67,9 +67,8 @@ def _rows_error(path, data: bytes, first_line: int, reason: str) -> ValueError:
         line = line.removesuffix("\r")
         if not line:
             continue
-        field = line.split(",", 1)[0]
-        try:  # loadtxt refuses '_' and non-ASCII digits, which float() reads
-            ok = math.isfinite(float(field)) and field.isascii() and "_" not in field
+        try:
+            ok = math.isfinite(loadtxt_field(line.split(",", 1)[0]))
         except ValueError:
             ok = False
         if not ok:

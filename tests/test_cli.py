@@ -237,6 +237,17 @@ def test_sweep_with_failed_baselines_exits_on_the_grid_cells(tmp_path, capsys):
     assert summary["none"]["n_converged"] < summary["none"]["n"] == 10
 
 
+def test_sweep_with_no_counted_event_writes_every_row(tmp_path):
+    # no event falls in a whole bin (tests/test_experiments.py ZERO_COUNT_SERIES)
+    code = run("sweep", "--mu", "0.001", "--mu_lower", "0.0001", "--alpha", "0.5",
+               "--horizon", "100", "--delta_mode", "10", "--repetitions", "5",
+               "--epsilons", "1", "--b_values", "10", "--out_dir", str(tmp_path))
+    assert code == EXIT_ALL_FAILED
+    records = read_sweep_csv(tmp_path / "sweep.csv")
+    assert len(records) == 10
+    assert not any(r.converged for r in records)
+
+
 @pytest.mark.parametrize("flag, value", [("--epsilons", "10,10"), ("--b_values", "10,010")])
 def test_repeated_grid_value_is_config_error(tmp_path, capsys, flag, value):
     code = run("sweep", "--mu", "1", "--alpha", "0.5", "--horizon", "20000",

@@ -5,7 +5,7 @@ import pytest
 
 from dphawkes import ConfigError, HawkesParams, ParamBounds, PrivacyBudget
 from dphawkes.config import (CONFIG_KEYS, ExperimentConfig, delta_from_rule, load_config,
-                             parse_config_file, round_to_multiple_of_5)
+                             parse_config_file, parse_value, round_to_multiple_of_5)
 
 
 def test_delta_rule_matches_synthetic_setup():
@@ -52,6 +52,19 @@ def test_config_validation():
 def test_every_config_field_is_a_config_key():
     # a field outside CONFIG_KEYS is one that no flag or config file can set
     assert {f.name for f in dataclasses.fields(ExperimentConfig)} == set(CONFIG_KEYS)
+
+
+def test_config_keys_are_the_fields_and_parse_their_defaults(tmp_path, monkeypatch):
+    # the keys are the fields in order, and each field's parser reads its default's text back
+    monkeypatch.setenv("DPHAWKES_OUT", str(tmp_path / "results"))
+    fields = dataclasses.fields(ExperimentConfig)
+    assert CONFIG_KEYS == tuple(f.name for f in fields)
+    default = ExperimentConfig()
+    for f in fields:
+        value = getattr(default, f.name)
+        text = ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+        parsed = parse_value(f.name, text)
+        assert parsed == value and type(parsed) is type(value), f.name
 
 
 def test_parse_config_file(tmp_path):

@@ -6,8 +6,8 @@ import time
 import numpy as np
 import pytest
 
-from dphawkes import (ConfigError, NonConvergence, bin_events, branching_counts, estimate,
-                      sample_stats, simulate_branching)
+from dphawkes import (ConfigError, NoCountedEvents, NonConvergence, bin_events,
+                      branching_counts, estimate, sample_stats, simulate_branching)
 from dphawkes import experiments
 from dphawkes.config import ExperimentConfig, delta_from_rule
 from dphawkes.counts import bin_times
@@ -174,6 +174,24 @@ def test_failed_baselines_are_converged_zero_rows():
         series = branching_counts(cfg.params, cfg.horizon, r.seed, cfg.delta)
         with pytest.raises(NonConvergence, match="alpha_upper"):
             estimate(series, cfg.bounds)
+
+
+# mu * T = 0.1: none of these series holds an event in a whole bin, so no
+# baseline has a sample mean to invert and every private release fails too.
+ZERO_COUNT_SERIES = dict(mu=0.001, mu_lower=0.0001, alpha=0.5, horizon=100.0,
+                         delta_mode="10", repetitions=5, epsilons=(1.0,), b_values=("10",))
+
+
+def test_series_with_no_counted_event_are_converged_zero_rows():
+    cfg = ExperimentConfig(**ZERO_COUNT_SERIES)
+    records = run_sweep(cfg)
+    assert len(records) == 2 * cfg.repetitions
+    assert not any(r.converged for r in records)
+    for r in records:
+        if r.b_mode == BASELINE_B_MODE:
+            series = branching_counts(cfg.params, cfg.horizon, r.seed, cfg.delta)
+            with pytest.raises(NoCountedEvents):
+                estimate(series, cfg.bounds)
 
 
 def test_parallel_workers_match_serial_with_failed_baselines():

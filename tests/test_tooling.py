@@ -60,7 +60,7 @@ def test_release_spec_and_b_label_grammar_live_in_privacy():
 def test_estimation_failures_are_caught_by_their_base_class():
     # A failed estimate is one rule: an except clause names EstimationFailed,
     # never one of its subclasses, and the base class is defined once.
-    from dphawkes import EstimationFailed, HorizonTooShort, NonConvergence
+    from dphawkes import EstimationFailed, HorizonTooShort, NoCountedEvents, NonConvergence
     caught, defining = set(), set()
     for path in SRC.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -70,8 +70,24 @@ def test_estimation_failures_are_caught_by_their_base_class():
             if isinstance(node, ast.ClassDef) and node.name == "EstimationFailed":
                 defining.add(path.name)
     assert "EstimationFailed" in caught
-    assert not caught & {"NonConvergence", "HorizonTooShort"}
+    assert not caught & {"NonConvergence", "HorizonTooShort", "NoCountedEvents"}
     assert defining == {"errors.py"}
     assert issubclass(NonConvergence, RuntimeError) and issubclass(HorizonTooShort, ValueError)
+    assert issubclass(NoCountedEvents, EstimationFailed) and issubclass(NoCountedEvents, ValueError)
     assert issubclass(NonConvergence, EstimationFailed)
     assert issubclass(HorizonTooShort, EstimationFailed)
+
+
+def test_main_builds_each_commands_config():
+    # The config is read once: only main calls _config_from_args, and every
+    # command takes the config it built and the keys a flag or file gave.
+    tree = ast.parse((SRC / "cli.py").read_text())
+    callers = {fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+               for node in ast.walk(fn) if isinstance(node, ast.Call)
+               and getattr(node.func, "id", None) == "_config_from_args"}
+    assert callers == {"main"}
+    commands = [fn for fn in tree.body
+                if isinstance(fn, ast.FunctionDef) and fn.name.startswith("cmd_")]
+    assert len(commands) == 7
+    for fn in commands:
+        assert [a.arg for a in fn.args.args] == ["args", "config", "given"], fn.name
