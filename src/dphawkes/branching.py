@@ -1,4 +1,4 @@
-"""Borel progeny law and the tail / largest-tree / discrepancy bounds."""
+"""Borel progeny law, in-window tree sizes, and the discrepancy bound."""
 from __future__ import annotations
 
 import math
@@ -39,25 +39,6 @@ def borel_pmf(nu: float, j: int) -> float:
         return 0.0
     log_p = -nu * j + (j - 1) * math.log(nu * j) - math.lgamma(j + 1)
     return math.exp(log_p)
-
-
-def progeny_tail_bound(nu: float, d: float) -> float:
-    """P(progeny > d) <= e^2 exp(-(nu - 1 - log nu) d), for d beyond the mean 1/(1-nu)."""
-    if not 0 < nu < 1:
-        raise ValueError("nu must lie in (0, 1)")
-    if not d > 1.0 / (1.0 - nu):
-        raise ValueError("d must exceed the mean progeny 1/(1-nu)")
-    rate = nu - 1.0 - math.log(nu)
-    return math.exp(2.0 - rate * d)
-
-
-def largest_tree_prob_bound(mu: float, alpha: float, horizon: float, a: float) -> float:
-    """Lower bound on P(largest tree observed by the horizon has <= a/(1-alpha) members)."""
-    if not a > 1:
-        raise ValueError("a must exceed 1")
-    if not horizon > 0:
-        raise ValueError("horizon must be positive")
-    return math.exp(-mu * horizon * math.e**2 * math.exp(-(10.0 * a / 21.0) * (1.0 - alpha)))
 
 
 def tree_sizes(events: EventSequence) -> TreeStats:

@@ -191,17 +191,6 @@ def required_T_private(inputs: ComplexityInputs, budget: PrivacyBudget,
     return _report(terms)
 
 
-def required_T_mean(sigma_sq: float, xi: float, delta_prob: float,
-                    delta_bin: float) -> float:
-    """Horizon bound for the sample mean alone: sigma^2 Psi(1-delta/4)^2 / (xi^2 Delta)."""
-    if not (sigma_sq > 0 and xi > 0 and delta_bin > 0):
-        raise ValueError("sigma_sq, xi and delta_bin must be positive")
-    if not 0 < delta_prob <= 1:
-        raise ValueError("delta_prob must lie in (0, 1]")
-    psi = inverse_normal_cdf(1.0 - delta_prob / 4.0)
-    return sigma_sq * psi**2 / (xi**2 * delta_bin)
-
-
 @dataclass(frozen=True)
 class Eta4Estimate:
     value: float

@@ -26,8 +26,11 @@ def round_to_multiple_of_5(x: float) -> int:
 
 def delta_from_rule(delta_mode: str, horizon: float) -> float:
     """Bin width for a horizon: 'log' applies the rounded c*log(T) rule,
-    anything numeric is a fixed width."""
+    anything numeric is a fixed width. A horizon the 'log' rule cannot take is
+    a ValueError, an input fault like any other too short horizon."""
     if delta_mode == "log":
+        if not horizon > 0:
+            raise ValueError(f"horizon {horizon:g} has no 'log' bin width: c*log(T) needs T > 0")
         return float(round_to_multiple_of_5(LOG_RULE_C * math.log(horizon)))
     try:
         value = float(delta_mode)

@@ -133,11 +133,6 @@ def variance_sensitivity(spec: SensitivitySpec, k: int, delta: float, horizon: f
     return cap**2 / k + 2.0 * cap**1.5 * math.sqrt(delta) * spec.c1 / (k - 1)
 
 
-def laplace_sample(scale: float, rng: int | np.random.Generator) -> float:
-    """One zero-mean Laplace draw: the first of laplace_samples(scale, rng, 1)."""
-    return float(laplace_samples(scale, rng, 1)[0])
-
-
 def laplace_samples(scale: float, rng: int | np.random.Generator, size: int) -> np.ndarray:
     """Zero-mean Laplace draws by inverse CDF, one uniform per sample.
 
@@ -176,7 +171,7 @@ def privatize_stats(stats: SampleStats, spec: SensitivitySpec, budget: PrivacyBu
     if not (math.isfinite(mean_scale) and math.isfinite(var_scale)):
         raise ConfigError(f"Laplace scales {mean_scale:.6g} and {var_scale:.6g} are not both "
                           "finite: the prior box, gamma or epsilon is out of float range")
-    # Bit for bit two laplace_sample draws at the two scales: s*(-log x) == -s*log x.
+    # Bit for bit two laplace_samples(scale, seed, 1) draws: s*(-log x) == -s*log x.
     mean_noise, var_noise = laplace_samples(1.0, seed, 2).tolist()
     return SampleStats(eta_hat=stats.eta_hat + mean_scale * mean_noise,
                        sigma_sq_hat=stats.sigma_sq_hat + var_scale * var_noise, k=stats.k)

@@ -4,12 +4,32 @@ import numpy as np
 import pytest
 
 from dphawkes import (HawkesParams, ParamBounds, PreconditionViolated, borel_pmf,
-                      discrepancy_bound, largest_tree_prob_bound, progeny_tail_bound,
-                      simulate_branching, theoretical_moments, tree_sizes)
+                      discrepancy_bound, simulate_branching, theoretical_moments, tree_sizes)
 from dphawkes.branching import TreeStats, read_tree_csv, write_tree_csv
 from dphawkes.counts import bin_events
 from dphawkes.events import EventSequence
 from dphawkes.privacy import c1_constant
+
+
+# Oracles of the paper's progeny-tail and largest-tree bounds; the package needs neither.
+
+def progeny_tail_bound(nu: float, d: float) -> float:
+    """P(progeny > d) <= e^2 exp(-(nu - 1 - log nu) d), for d beyond the mean 1/(1-nu)."""
+    if not 0 < nu < 1:
+        raise ValueError("nu must lie in (0, 1)")
+    if not d > 1.0 / (1.0 - nu):
+        raise ValueError("d must exceed the mean progeny 1/(1-nu)")
+    rate = nu - 1.0 - math.log(nu)
+    return math.exp(2.0 - rate * d)
+
+
+def largest_tree_prob_bound(mu: float, alpha: float, horizon: float, a: float) -> float:
+    """Lower bound on P(largest tree observed by the horizon has <= a/(1-alpha) members)."""
+    if not a > 1:
+        raise ValueError("a must exceed 1")
+    if not horizon > 0:
+        raise ValueError("horizon must be positive")
+    return math.exp(-mu * horizon * math.e**2 * math.exp(-(10.0 * a / 21.0) * (1.0 - alpha)))
 
 
 def test_borel_pmf_examples():

@@ -92,6 +92,17 @@ def test_estimate_single_event_binning_failure(tmp_path):
     assert code == EXIT_IO  # degenerate horizon rejected before estimation
 
 
+def test_zero_horizon_under_the_log_rule_is_an_input_error(tmp_path, capsys):
+    # one ingested row gives horizon 0, which the default 'log' bin width cannot take
+    raw, events = tmp_path / "one.csv", tmp_path / "one_ev.csv"
+    raw.write_text("timestamp\n1700000000.5\n")
+    assert run("ingest", str(raw), "--out", str(events)) == EXIT_OK
+    capsys.readouterr()
+    for command, extra in (("estimate", ()), ("privatize", ("--epsilon", "1", "--seed", "1"))):
+        assert run(command, str(events), *extra) == EXIT_IO
+        assert "input error: horizon 0 has no 'log' bin width" in capsys.readouterr().err
+
+
 def test_privatize_requires_epsilon(tmp_path):
     path = tmp_path / "ev.csv"
     run("simulate", "--mu", "1", "--alpha", "0.5", "--horizon", "5000",

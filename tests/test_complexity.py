@@ -6,7 +6,7 @@ from scipy import stats as sps
 
 from dphawkes import (ComplexityInputs, ConfigError, HawkesParams, ParamBounds,
                       PreconditionViolated, PrivacyBudget, c9_constant,
-                      eta4_monte_carlo, inverse_normal_cdf, required_T_mean,
+                      eta4_monte_carlo, inverse_normal_cdf,
                       required_T_nonprivate, required_T_private)
 from dphawkes.complexity import _solve_increasing, write_complexity_csv
 from dphawkes.counts import MAX_BINS
@@ -109,6 +109,18 @@ def test_c9_appendix_variant():
 
 
 # --- required_T_mean --------------------------------------------------------
+# An oracle of the paper's mean-only bound; the package needs only the full ones.
+
+def required_T_mean(sigma_sq: float, xi: float, delta_prob: float,
+                    delta_bin: float) -> float:
+    """Horizon bound for the sample mean alone: sigma^2 Psi(1-delta/4)^2 / (xi^2 Delta)."""
+    if not (sigma_sq > 0 and xi > 0 and delta_bin > 0):
+        raise ValueError("sigma_sq, xi and delta_bin must be positive")
+    if not 0 < delta_prob <= 1:
+        raise ValueError("delta_prob must lie in (0, 1]")
+    psi = inverse_normal_cdf(1.0 - delta_prob / 4.0)
+    return sigma_sq * psi**2 / (xi**2 * delta_bin)
+
 
 def test_required_t_mean_value():
     got = required_T_mean(66.1077, 0.1, 0.05, 10.0)

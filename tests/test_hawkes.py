@@ -5,9 +5,44 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dphawkes import (ConfigError, EventSequence, HawkesParams, ParamBounds,
-                      intensity_at, simulate_branching, theoretical_moments,
-                      transient_moments)
+                      simulate_branching, theoretical_moments)
 from dphawkes.hawkes import bin_variance
+
+
+# Oracles of the paper's side formulas; the package itself needs neither.
+
+def intensity_at(params: HawkesParams, events: EventSequence, t: float) -> float:
+    """Conditional intensity mu + sum_{t_i < t} alpha * exp(-(t - t_i))."""
+    if t < 0:
+        raise ValueError("t must be nonnegative")
+    ts = events.timestamps
+    past = ts[ts < t]
+    if past.size == 0:
+        return params.mu
+    return params.mu + params.alpha * float(np.exp(-(t - past)).sum())
+
+
+def transient_moments(params: HawkesParams, lambda0: float, t: float) -> tuple[float, float]:
+    """Mean and variance of the count on [0, t] started at intensity lambda0.
+
+    lambda0 = mu/(1-alpha) recovers the stationary bin mean with delta = t; the
+    stationary variance adds the start-state term of a random start intensity.
+    """
+    if not t > 0:
+        raise ValueError("t must be positive")
+    if lambda0 < params.mu:
+        raise ValueError("lambda0 must be at least mu")
+    a, q = params.alpha, 1.0 - params.alpha
+    lam_inf = params.mu / q
+    d0 = lambda0 - lam_inf
+    e1 = math.exp(-q * t)
+    e2 = math.exp(-2.0 * q * t)
+    mean = lam_inf * t + d0 * (1.0 - e1) / q
+    var = (lam_inf * t / q**2
+           + a**2 * (2.0 * lambda0 - lam_inf) * (1.0 - e2) / (2.0 * q**3)
+           - 2.0 * a * d0 * t * e1 / q**2
+           + ((1.0 + a) * d0 / q**2 - 2.0 * a * lam_inf / q**3) * (1.0 - e1))
+    return mean, var
 
 
 def test_params_validation():

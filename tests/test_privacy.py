@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from dphawkes import (HawkesParams, HorizonTooShort, ParamBounds, PrivacyBudget,
                       SampleStats, SensitivitySpec, bin_events, estimate,
-                      laplace_sample, laplace_samples, mean_sensitivity,
+                      laplace_samples, mean_sensitivity,
                       privatize_stats, private_estimate, sample_stats,
                       simulate_branching, tree_sizes, validate_horizon,
                       variance_sensitivity)
@@ -119,21 +119,21 @@ class _FixedUniform:
 
 
 def test_laplace_median_is_zero():
-    assert laplace_sample(2.0, _FixedUniform(0.5)) == 0.0
+    assert laplace_samples(2.0, _FixedUniform(0.5), 1)[0] == 0.0
 
 
 def test_laplace_sign_convention():
-    assert laplace_sample(1.0, _FixedUniform(0.25)) == pytest.approx(math.log(0.5))
-    assert laplace_sample(1.0, _FixedUniform(0.75)) == pytest.approx(-math.log(0.5))
+    assert laplace_samples(1.0, _FixedUniform(0.25), 1)[0] == pytest.approx(math.log(0.5))
+    assert laplace_samples(1.0, _FixedUniform(0.75), 1)[0] == pytest.approx(-math.log(0.5))
 
 
 def test_laplace_zero_scale():
     rng = np.random.default_rng(0)
-    assert laplace_sample(0.0, rng) == 0.0
+    assert laplace_samples(0.0, rng, 1)[0] == 0.0
 
 
 def test_laplace_scalar_vector_same_stream():
-    scalar = [laplace_sample(1.5, np.random.default_rng(9)) for _ in range(1)][0]
+    scalar = laplace_samples(1.5, np.random.default_rng(9), 1)[0]
     vector = laplace_samples(1.5, np.random.default_rng(9), 4)
     assert scalar == vector[0]
 
@@ -143,14 +143,14 @@ def test_laplace_vector_draws_are_successive_scalar_draws(scale):
     for seed in (3, 2024):
         vector_rng, scalar_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         vector = laplace_samples(scale, vector_rng, 5000)
-        scalar = np.array([laplace_sample(scale, scalar_rng) for _ in range(5000)])
+        scalar = np.array([laplace_samples(scale, scalar_rng, 1)[0] for _ in range(5000)])
         assert vector.tobytes() == scalar.tobytes()
         assert vector_rng.bit_generator.state == scalar_rng.bit_generator.state
 
 
 def test_laplace_floor_is_the_same_in_both_draws():
     # u = 0 puts 1 - 2|u - 1/2| at 0, so the 5e-324 floor sets the magnitude
-    scalar = laplace_sample(2.0, _FixedUniform(0.0))
+    scalar = laplace_samples(2.0, _FixedUniform(0.0), 1)[0]
     assert scalar == 2.0 * math.log(5e-324)
     assert laplace_samples(2.0, _FixedUniform(0.0), 3).tobytes() == np.full(3, scalar).tobytes()
 
@@ -197,8 +197,9 @@ def test_privatize_is_two_successive_laplace_draws(seed, b, epsilon):
     spec, budget = spec_aware(b), PrivacyBudget(epsilon=epsilon, gamma=GAMMA)
     rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
     out = privatize_stats(_stats(), spec, budget, 10.0, 1e5, seed=rng)
-    eta = 20.0 + laplace_sample(mean_sensitivity(spec, 10000, 1e5) / epsilon, ref)
-    var = 66.0 + laplace_sample(variance_sensitivity(spec, 10000, 10.0, 1e5) / epsilon, ref)
+    eta = 20.0 + laplace_samples(mean_sensitivity(spec, 10000, 1e5) / epsilon, ref, 1)[0]
+    var = 66.0 + laplace_samples(variance_sensitivity(spec, 10000, 10.0, 1e5) / epsilon,
+                                 ref, 1)[0]
     assert (out.eta_hat, out.sigma_sq_hat) == (eta, var)
     assert type(out.eta_hat) is float and type(out.sigma_sq_hat) is float
     assert rng.bit_generator.state == ref.bit_generator.state

@@ -6,9 +6,10 @@ import pytest
 
 from dphawkes import (HawkesParams, bin_events, branching_counts, default_warmup,
                       sample_stats, simulate_branching, simulate_thinning,
-                      theoretical_moments, transient_moments, tree_sizes)
+                      theoretical_moments, tree_sizes)
 from dphawkes.errors import ConfigError
 from dphawkes.simulate import MAX_EXPECTED_EVENTS, _generations
+from tests.test_hawkes import transient_moments
 
 
 @pytest.mark.parametrize("simulate", [simulate_thinning, simulate_branching])

@@ -1,14 +1,41 @@
 """Guards for the tooling that drives the library from outside."""
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import pytest
 
+import dphawkes
 from dphawkes import cli
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-SRC = Path(__file__).resolve().parents[1] / "src" / "dphawkes"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
+SRC = ROOT / "src" / "dphawkes"
+
+# Imported but unused names that stay bound only because the traced benchmark
+# (perfbench/spans.py) wraps them by module attribute. ROADMAP.md item 1 moves
+# the tracer off them and deletes the imports; this list then empties.
+TRACER_ONLY_IMPORTS = {
+    "cli.py": {"invert_moments", "privatize_stats"},
+    "experiments.py": {"bin_events", "ingest_timestamps", "invert_moments", "privatize_stats",
+                       "mean_sensitivity", "variance_sensitivity", "validate_horizon",
+                       "simulate_branching"},
+}
+
+
+def _modules():
+    """(file name, parsed tree) of each package module but __init__.py."""
+    return [(path.name, ast.parse(path.read_text()))
+            for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"]
+
+
+def _readme_public_api() -> list[str]:
+    """The names the README's Public API section lists: each bullet's backticked
+    names before its colon, module-qualified where the package does not export them."""
+    section = (ROOT / "README.md").read_text().split("\n## Public API\n", 1)[1]
+    heads = re.findall(r"^- (`[^:]*):", section.split("\n## ", 1)[0], re.M)
+    return [name for head in heads for name in re.findall(r"`([\w.]+)`", head)]
 
 
 def test_benchmark_tracer_wraps_bound_names(monkeypatch):
@@ -91,3 +118,26 @@ def test_main_builds_each_commands_config():
     assert len(commands) == 7
     for fn in commands:
         assert [a.arg for a in fn.args.args] == ["args", "config", "given"], fn.name
+
+
+def test_every_import_is_used_but_the_tracers():
+    # An import no code of its module uses is dead, except the tracer's list.
+    for name, tree in _modules():
+        imported = {(alias.asname or alias.name).split(".")[0]
+                    for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__" for alias in node.names}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert imported - used == TRACER_ONLY_IMPORTS.get(name, set()), name
+
+
+def test_every_exported_name_is_called_or_listed_public():
+    # dphawkes.__all__ holds what the package itself calls; any other name is
+    # listed, with its reason, in the README's Public API section.
+    referenced = {node.id if isinstance(node, ast.Name) else node.attr
+                  for _, tree in _modules() for node in ast.walk(tree)
+                  if isinstance(node, (ast.Name, ast.Attribute))}
+    listed = _readme_public_api()
+    assert set(dphawkes.__all__) - referenced - set(listed) == set()
+    for name in listed:  # a listed name still exists, as the package or its module exports it
+        module, _, attr = name.rpartition(".")
+        assert hasattr(importlib.import_module(f"dphawkes.{module}".rstrip(".")), attr), name
