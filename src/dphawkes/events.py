@@ -24,7 +24,8 @@ _POW5 = 5 ** np.arange(22, dtype=np.uint64)  # to 21: the log10 estimate may be 
 _POW10 = 10 ** np.arange(17, dtype=np.int64)
 _LOW32 = 2**32 - 1
 _POW10U = 10 ** np.arange(20, dtype=np.uint64)
-_POW10F = 10.0 ** np.arange(21)
+_POW10F = 10.0 ** np.arange(21)  # exact doubles
+_NOT_DIGIT = 0x8080808080808080  # the bits _digits sets in acc for a byte that is not a digit
 _READ_ROWS = 1 << 13
 _SCAN = 1 << 20  # bytes scanned at a time for line ends, commas and dots
 # _KEEP[n + 16]: the last clip(n, 0, 8) bytes of a little-endian word
@@ -248,18 +249,16 @@ def read_events_csv(path, horizon: float | None = None) -> EventSequence:
 
 def _fast_rows(data: bytes):
     """The (t, g, p) below the header in numpy blocks (g = p = None if unlabeled),
-    or None outside this grammar: lines "t,g,p" of ASCII digits and one "." in t
-    at most, ended by \\n or \\r\\n; ids of 16 digits at most; t as %.17g writes it."""
+    or None outside this grammar: lines "t,g,p" ended by \\n or \\r\\n, t as
+    decimal_fields reads it, ids of at most 16 ASCII digits."""
     buf = np.frombuffer(data, np.uint8)
-    pos = np.int32 if buf.size < 2**31 else np.int64  # half the memory of int64 positions
-    at = np.concatenate([np.flatnonzero(buf[i:i + _SCAN] < 48).astype(pos) + i  # bytes below "0"
-                         for i in range(0, buf.size, _SCAN)])
+    at = marks(buf)
     kind = buf[at]
     nl, ci = at[kind == 10], np.flatnonzero(kind == 44)[2:]  # after the header's commas
     n = nl.size - 1
     if n < 1 or nl[-1] != buf.size - 1 or ci.size != 2 * n:
         return None
-    c0, c1, before, end = at[ci[0::2]], at[ci[1::2]], nl[:-1], nl[1:]
+    c0, c1, start, end = at[ci[0::2]], at[ci[1::2]], nl[:-1] + 1, nl[1:]
     # The byte below "0" before t's comma splits t if a dot; a dot elsewhere fails a digit check.
     dot = np.where(kind[ci[0::2] - 1] == 46, at[ci[0::2] - 1], c0)
     del at, kind, ci
@@ -267,26 +266,49 @@ def _fast_rows(data: bytes):
         return None
     end = end - (buf[end - 1] == 13)
     words = np.ndarray((buf.size - 7,), "<u8", data, strides=(1,))  # words[i]: bytes i..i+7
-    t, g, p = np.empty(n), np.empty(n, np.int64), np.empty(n, np.int64)
+    t = decimal_fields(words, start, dot, c0)
+    if t is None:
+        return None
+    g, p = np.empty(n, np.int64), np.empty(n, np.int64)
     for lo in range(0, n, _READ_ROWS):
         b = slice(lo, lo + _READ_ROWS)
-        il, gl, pl = dot[b] - before[b] - 1, c1[b] - c0[b] - 1, end[b] - c1[b] - 1
-        f = np.maximum(c0[b] - dot[b] - 1, 0)  # fraction digits
-        if il.min() < 1 or max(il.max(), gl.max(), pl.max()) > 16 or f.max() > 20:
+        gl, pl = c1[b] - c0[b] - 1, end[b] - c1[b] - 1
+        if max(gl.max(), pl.max()) > 16:
+            return None
+        acc = np.zeros(gl.size, np.uint64)
+        g[b] = _digits(words, c1[b], gl, acc).view(np.int64) - (gl == 0)  # empty is -1
+        p[b] = _digits(words, end[b], pl, acc).view(np.int64) - (pl == 0)
+        if np.any(acc & _NOT_DIGIT):
+            return None
+    return (t, g, p) if np.any(g != -1) else (t, None, None)
+
+
+def marks(buf: np.ndarray) -> np.ndarray:
+    """The positions of the bytes below "0" (line ends, commas, dots), scanned a block at a time."""
+    pos = np.int32 if buf.size < 2**31 else np.int64  # half the memory of int64 positions
+    return np.concatenate([np.flatnonzero(buf[i:i + _SCAN] < 48).astype(pos) + i
+                           for i in range(0, buf.size, _SCAN)])
+
+
+def decimal_fields(words, start, dot, end) -> np.ndarray | None:
+    """The doubles nearest the fields from start to end, or None unless each is ASCII
+    digits, 1 to 16 before dot (= end without a "."), 20 at most after it and 17 at most
+    significant. words[i], bytes i..i+7 as a uint64, is read from 24 before each start."""
+    t = np.empty(start.size)
+    for lo in range(0, t.size, _READ_ROWS):
+        b = slice(lo, lo + _READ_ROWS)
+        il, f = dot[b] - start[b], np.maximum(end[b] - dot[b] - 1, 0)
+        if il.min() < 1 or il.max() > 16 or f.max() > 20:
             return None
         acc = np.zeros(il.size, np.uint64)
         whole = _digits(words, dot[b], il, acc)
-        frac = _digits(words, c0[b], np.minimum(f, 16), acc)
-        top = _digits(words, c0[b] - 16, np.maximum(f - 16, 0), acc)
-        # Without its dot t is w < 10**17: at most 17 significant digits.
-        if np.any((whole >= _POW10U[np.maximum(17 - f, 0)]) | (top >= 10)):
+        frac = _digits(words, end[b], np.minimum(f, 16), acc)
+        top = _digits(words, end[b] - 16, np.maximum(f - 16, 0), acc)
+        # Without its dot the field is w < 10**17: at most 17 significant digits.
+        if np.any((whole >= _POW10U[np.maximum(17 - f, 0)]) | (top >= 10) | (acc & _NOT_DIGIT)):
             return None
-        t[b] = _checked_value(whole * _POW10U[np.minimum(f, 19)] + top * 10**16 + frac, f)
-        g[b] = _digits(words, c1[b], gl, acc).view(np.int64) - (gl == 0)  # empty is -1
-        p[b] = _digits(words, end[b], pl, acc).view(np.int64) - (pl == 0)
-        if np.any(acc & 0x8080808080808080) or np.isnan(t[b]).any():
-            return None
-    return (t, g, p) if np.any(g != -1) else (t, None, None)
+        t[b] = _nearest_double(whole * _POW10U[np.minimum(f, 19)] + top * 10**16 + frac, f)
+    return t
 
 
 def _digits(words, end, n, acc) -> np.ndarray:
@@ -302,24 +324,36 @@ def _digits(words, end, n, acc) -> np.ndarray:
     return v
 
 
-def _checked_value(w, f) -> np.ndarray:
-    """w / 10**f as the double whose %.17g digits are w's: the estimate is checked
-    with _decimal17 and nudged by one ulp at most twice; nan where none matches."""
-    x = w.astype(np.float64) / _POW10F[f]
-    if not np.all(((x >= 1e-4) | (w == 0)) & (x < 1e16)):  # outside _decimal17's range
-        return np.full(x.size, np.nan)
-    # w's digit count nd; then (exponent, digits) as one int64 that orders as the value does
-    nd = np.searchsorted(_POW10U, w, side="right")
-    want = (np.where(w == 0, 0, nd - 1 - f) + 5) * 10**17 + (w * _POW10U[17 - nd]).astype(np.int64)
-    todo = np.arange(x.size)
-    for _ in range(3):
-        xe, d = _decimal17(x[todo])
-        got = (xe + 5) * 10**17 + d.astype(np.int64)
-        miss = got != want[todo]
-        todo, up = todo[miss], got[miss] < want[todo[miss]]
-        x[todo] = np.nextafter(x[todo], np.where(up, np.inf, 0.0))
-    x[todo] = np.nan
-    return x
+def _nearest_double(w: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """The double nearest w / 10**f (ties to even) for uint64 w < 10**17, f <= 20.
+
+    P = 10**f is exact; q = fl(fl(w) / P). For w in [2**k, 2**(k+1)), |w - fl(w)| / P
+    <= 2**(k-53) / P is below the gap between doubles at min(w, fl(w)) / P >= 2**k / P,
+    so at most one rounding midpoint lies between w/P and fl(w)/P: the answer is q or
+    a neighbour of q (Clinger 1990). r = w - q*P decides, and is computed exactly:
+    Dekker's TwoProduct (numpy has no FMA) gives q*P = ph + pl; fl(w) - ph is exact
+    (Sterbenz), and so are the sums that take pl and add w - fl(w) (|w - fl(w)| <= 8),
+    as each is a multiple of 2**min(0, e) below 2**53 of them, where 2**e divides q*P.
+    q moves up if 2r > (q+ - q)*P, down if 2r < (q- - q)*P (exact: the gaps are powers
+    of two), and to the even one on a tie.
+    """
+    p = _POW10F[f]
+    wf = w.astype(np.float64)
+    q = wf / p
+    if w.max(initial=0) < 2**53:  # w = fl(w): q is the answer
+        return q
+    q_hi, p_hi = (c - (c - a) for a in (q, p) for c in [a * 134217729.0])  # Veltkamp splits
+    q_lo, p_lo = q - q_hi, p - p_hi
+    ph = q * p
+    pl = ((q_hi * p_hi - ph) + q_hi * p_lo + q_lo * p_hi) + q_lo * p_lo
+    r2 = 2 * (((wf - ph) - pl) + (w - wf.astype(np.uint64)).view(np.int64))
+    bits = q.view(np.int64)  # the gaps: q's ulp above, its predecessor's below (inf at q = 0)
+    gap_up = (bits & 0x7FF << 52).view(np.float64) * (p * 2.0**-52)
+    gap_down = ((bits - 1) & 0x7FF << 52).view(np.float64) * (p * -2.0**-52)
+    odd = (bits & 1).astype(bool)
+    up = np.where(odd, r2 >= gap_up, r2 > gap_up)
+    down = np.where(odd, r2 <= gap_down, r2 < gap_down)
+    return (bits + up - down).view(np.float64)
 
 
 def _loadtxt_rows(path, body: bytes):

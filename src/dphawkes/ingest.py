@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 
 from .errors import ConfigError
-from .events import EventSequence, load_csv_rows, loadtxt_field
+from .events import EventSequence, decimal_fields, load_csv_rows, loadtxt_field, marks
 
 
 def ingest_timestamps(path, time_unit_scale: float = 1.0) -> EventSequence:
@@ -30,12 +30,14 @@ def ingest_timestamps(path, time_unit_scale: float = 1.0) -> EventSequence:
         float(first.split(b",", 1)[0])
     except ValueError:  # a header row, or a line 1 to skip anyway
         data, first_line = rest, 2
-    try:
-        raw = load_csv_rows(data, usecols=0)
-    except ValueError as exc:
-        raise _rows_error(path, data, first_line, str(exc)) from exc
-    if not np.isfinite(raw).all():
-        raise _rows_error(path, data, first_line, "non-finite timestamp")
+    raw = _first_fields(data)
+    if raw is None:  # any other log: np.loadtxt, with _rows_error naming what it refuses
+        try:
+            raw = load_csv_rows(data, usecols=0)
+        except ValueError as exc:
+            raise _rows_error(path, data, first_line, str(exc)) from exc
+        if not np.isfinite(raw).all():
+            raise _rows_error(path, data, first_line, "non-finite timestamp")
     if not raw.size:
         raise ValueError(f"{path}: no timestamps found")
 
@@ -57,6 +59,23 @@ def ingest_timestamps(path, time_unit_scale: float = 1.0) -> EventSequence:
         return EventSequence(scaled, horizon=float(scaled[-1]))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
+
+
+def _first_fields(data: bytes) -> np.ndarray | None:
+    """The first field of each non-blank line, read by events.decimal_fields; None
+    outside this grammar: the field ends at a "," or the line's end, \\n or \\r\\n,
+    and holds no byte below "0" but one "." at most; no "\\r" stands alone."""
+    buf = np.frombuffer(b"".join((b"\n" * 24, data, b"\n")), np.uint8)  # no read before buf
+    at = marks(buf)
+    kind = buf[at]
+    line = np.flatnonzero(kind == 10)[:-1]  # the \n before each line, indexing at
+    start, dot = at[line] + 1, at[line + 1]  # the first byte below "0" ends the field,
+    end = np.where(kind[line + 1] == 46, at[np.minimum(line + 2, at.size - 1)], dot)  # or a dot
+    if np.any(buf[at[kind == 13] + 1] != 10) or not np.all(np.isin(buf[end], (10, 13, 44))):
+        return None
+    keep = (end > start) | (buf[end] == 44)  # blank lines are skipped
+    words = np.ndarray((buf.size - 7,), "<u8", buf, strides=(1,))
+    return decimal_fields(words, start[keep], dot[keep], end[keep])
 
 
 def _rows_error(path, data: bytes, first_line: int, reason: str) -> ValueError:

@@ -1,5 +1,6 @@
 """The events-CSV reader's numpy path against its loadtxt fallback, and the
 value types' ownership of their arrays."""
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -75,6 +76,36 @@ def test_benchmark_scale_files_read_with_no_fallback(tmp_path, monkeypatch):
     back = read_events_csv(path)
     np.testing.assert_array_equal(back.tree_id, labeled.tree_id)
     np.testing.assert_array_equal(back.parent_idx, labeled.parent_idx)
+
+
+def _assert_nearest(w, f):
+    """_nearest_double against exact rational rounding, on each w alone (w < 2**53
+    takes Clinger's fast path) and beside a w >= 2**53 (every w takes the residual)."""
+    w, f = np.asarray(w, np.uint64), np.asarray(f, np.int64)
+    want = np.array([float(Fraction(int(a), 10**int(b))) for a, b in zip(w, f)])
+    alone = [events_module._nearest_double(w[i:i + 1], f[i:i + 1])[0] for i in range(w.size)]
+    with_big = events_module._nearest_double(np.append(w, np.uint64(10**17 - 1)), np.append(f, 3))
+    for got in (np.array(alone), with_big[:-1]):
+        assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 10**17 - 1), st.integers(0, 20)), min_size=1,
+                max_size=50))
+def test_nearest_double_rounds_the_exact_quotient(pairs):
+    _assert_nearest(*zip(*pairs))
+
+
+def test_nearest_double_on_ties_and_power_of_two_edges():
+    rng = np.random.default_rng(27)
+    odd = 2**53 + 2 * rng.integers(0, 2**52, 2_000, dtype=np.uint64) + 1  # halfway: to even
+    _assert_nearest(np.concatenate([odd, odd * 10]), np.repeat([0, 1], odd.size))
+    two_mod_4 = 2**54 + 4 * rng.integers(0, (10**17 - 2**54) // 4, 2_000, dtype=np.uint64) + 2
+    _assert_nearest(two_mod_4, np.zeros(two_mod_4.size, np.int64))
+    edges = [(round((Fraction(2**k) + Fraction(s, 3)) * 10**f), f)
+             for k in range(1, 56) for s in (-2, -1, 1, 2) for f in range(21)]
+    _assert_nearest(*zip(*[(w, f) for w, f in edges if w < 10**17]))
+    _assert_nearest([0], [0])
 
 
 _GRAMMAR_FIELDS = st.one_of(

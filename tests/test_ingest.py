@@ -1,10 +1,13 @@
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dphawkes import ConfigError, bin_events, ingest_timestamps
+from dphawkes import ingest as ingest_module
 
 
 def test_scale_and_shift(tmp_path):
@@ -133,3 +136,92 @@ def test_fields_only_python_reads_are_named_by_line(tmp_path, text):
     path.write_text(text, encoding="utf-8")
     with pytest.raises(ValueError, match=r"unparsable or non-finite timestamps at lines 3$"):
         ingest_timestamps(path)
+
+
+def test_headerless_first_row_is_read_from_byte_0(tmp_path):
+    path = tmp_path / "raw.csv"
+    path.write_text("5.25\n7.5\n1234567.875\n")  # the file's tail is all digits
+    np.testing.assert_array_equal(ingest_timestamps(path).timestamps, [0.0, 2.25, 1234562.625])
+
+
+@pytest.mark.parametrize("text", ["5\n", "5"])
+def test_files_under_8_bytes_hold_one_event(tmp_path, text):
+    path = tmp_path / "raw.csv"
+    path.write_text(text)
+    seq = ingest_timestamps(path)
+    assert seq.timestamps.tolist() == [0.0] and seq.horizon == 0.0
+    with pytest.raises(ValueError):
+        bin_events(seq, 1.0)
+
+
+def _loadtxt_only():
+    return mock.patch.object(ingest_module, "_first_fields", lambda data: None)
+
+
+def _outcome(path):
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            seq = ingest_timestamps(path, 1.0 / 60.0)
+    except ValueError as exc:
+        return str(exc)
+    return seq.timestamps.tobytes(), seq.horizon, [str(w.message) for w in caught]
+
+
+def test_benchmark_raw_log_is_read_with_no_fallback(tmp_path):
+    rng = np.random.default_rng(9)
+    us = 1_600_000_000 * 10**6 + np.cumsum(rng.integers(1, 10**8, 50_000))
+    rows = np.insert(us, rng.integers(0, us.size, 100), us[rng.integers(0, us.size, 100)])
+    rows = np.concatenate([rows[:1000], rows[20_000:22_000], rows[1000:20_000], rows[22_000:]])
+    path = tmp_path / "raw.csv"
+    path.write_text("timestamp_unix\n" + "".join(f"{v // 10**6}.{v % 10**6:06d}\n"
+                                                 for v in rows.tolist()))
+    with _loadtxt_only():
+        expected = _outcome(path)
+    with mock.patch.object(ingest_module, "load_csv_rows", side_effect=AssertionError):
+        got = _outcome(path)
+    assert got == expected
+    assert any("not sorted" in w for w in got[2]) and any("duplicate" in w for w in got[2])
+
+
+_RAW_FIELDS = st.one_of(
+    st.floats(0.0, 1e12).map("{:.17g}".format),
+    st.integers(0, 10**12).map(str),
+    st.decimals(0, 10**10, places=6).map(str),
+    st.sampled_from(["", " 5", "5 ", "+5", "-5", "1e3", "nan", "inf", ".5", "5.", "1.2.3", "x"]),
+    st.text(st.sampled_from("0123456789.,+-e x\r\t"), max_size=6))
+
+
+@st.composite
+def raw_logs(draw):
+    """Drawn raw logs: a header or none, first fields of the grammar and beyond
+    it, varying extra columns, blank lines, \\n or \\r\\n line ends."""
+    lines = [draw(st.sampled_from(["timestamp", "t,kind", "1.5"]))] if draw(st.booleans()) else []
+    for _ in range(draw(st.integers(0, 6))):
+        extra = draw(st.lists(st.text(st.sampled_from("ab 1,."), max_size=3), max_size=2))
+        lines += [""] * draw(st.integers(0, 1)) + [",".join([draw(_RAW_FIELDS), *extra])]
+    ends = [draw(st.sampled_from(["\n", "\r\n"])) for _ in lines]
+    text = "".join(line + end for line, end in zip(lines, ends))
+    return text.removesuffix(ends[-1]) if lines and draw(st.booleans()) else text
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw_logs())
+def test_raw_log_fast_path_reads_as_the_loadtxt_path(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("raw") / "raw.csv"
+    path.write_bytes(text.encode())
+    with _loadtxt_only():
+        expected = _outcome(path)
+    assert _outcome(path) == expected
+
+
+@pytest.mark.parametrize("text", [
+    "5\r,a\n6\n", "5,a\rb\n6\n", "5\n\r\n6\n", "5\r", "5\n\r", "1.5\r\n2.5", " 5\n", "5 \n",
+    "\t5\n", "5\t\n", "5\x00\n", ",5\n", ".5\n", "5.\n", "5..5\n", "0.1,0.2\n0.3\n",
+    "t\n12345678901234567\n1\n", "t\n0.000000000000000000001\n1\n", "5,\xff\n6\n"])
+def test_raw_log_edge_texts_read_as_the_loadtxt_path(tmp_path, text):
+    path = tmp_path / "raw.csv"
+    path.write_bytes(text.encode("latin-1"))
+    with _loadtxt_only():
+        expected = _outcome(path)
+    assert _outcome(path) == expected
