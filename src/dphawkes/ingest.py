@@ -68,14 +68,18 @@ def _first_fields(data: bytes) -> np.ndarray | None:
     buf = np.frombuffer(b"".join((b"\n" * 24, data, b"\n")), np.uint8)  # no read before buf
     at = marks(buf)
     kind = buf[at]
-    line = np.flatnonzero(kind == 10)[:-1]  # the \n before each line, indexing at
-    start, dot = at[line] + 1, at[line + 1]  # the first byte below "0" ends the field,
-    end = np.where(kind[line + 1] == 46, at[np.minimum(line + 2, at.size - 1)], dot)  # or a dot
-    if np.any(buf[at[kind == 13] + 1] != 10) or not np.all(np.isin(buf[end], (10, 13, 44))):
+    if np.any(buf[at[kind == 13] + 1] != 10):
+        return None
+    line = np.flatnonzero(kind == 10)[:-1].astype(at.dtype) + 1  # indexing at: each line's
+    start, dot = at[line - 1] + 1, at[line]  # first byte below "0" ends the field, or the next
+    end = at[line + (kind[line] == 46)]  # if it is a dot
+    del at, kind, line
+    if not np.all(np.isin(buf[end], (10, 13, 44))):
         return None
     keep = (end > start) | (buf[end] == 44)  # blank lines are skipped
-    words = np.ndarray((buf.size - 7,), "<u8", buf, strides=(1,))
-    return decimal_fields(words, start[keep], dot[keep], end[keep])
+    if not keep.all():
+        start, dot, end = start[keep], dot[keep], end[keep]
+    return decimal_fields(np.ndarray((buf.size - 7,), "<u8", buf, strides=(1,)), start, dot, end)
 
 
 def _rows_error(path, data: bytes, first_line: int, reason: str) -> ValueError:
