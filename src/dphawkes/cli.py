@@ -23,8 +23,8 @@ import sys
 from .branching import tree_sizes, write_tree_csv
 from .complexity import (ComplexityInputs, eta4_monte_carlo, required_T_nonprivate,
                          required_T_private, write_complexity_csv)
-from .config import (CONFIG_KEYS, ExperimentConfig, delta_from_rule, load_config,
-                     parse_config_file, parse_value)
+from .config import (CONFIG_KEYS, ExperimentConfig, delta_from_rule, parse_config_file,
+                     parse_value)
 from .counts import bin_events, sample_stats
 from .errors import ConfigError, EstimationFailed, PreconditionViolated
 # invert_moments and privatize_stats are unused here but stay bound: the traced
@@ -73,7 +73,7 @@ def _config_from_args(args) -> tuple[ExperimentConfig, set]:
             except ValueError as exc:
                 raise ConfigError(f"--{key}: {exc}") from exc
     values = {**(parse_config_file(args.config) if args.config else {}), **flags}
-    return load_config(**values), set(values)
+    return ExperimentConfig(**values), set(values)
 
 
 def _ensure_out_dir(config: ExperimentConfig) -> str:
@@ -98,8 +98,7 @@ def _read_meta(path) -> dict:
 
 
 def cmd_simulate(args, config: ExperimentConfig, given: set) -> int:
-    out_dir = _ensure_out_dir(config)
-    out = args.out or os.path.join(out_dir, "events.csv")
+    out = args.out or os.path.join(_ensure_out_dir(config), "events.csv")
     simulate = simulate_thinning if args.algorithm == "thinning" else simulate_branching
     events = simulate(config.params, config.horizon, config.seed, warmup=args.warmup)
     write_events_csv(events, out)

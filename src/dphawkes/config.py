@@ -124,11 +124,3 @@ def parse_config_file(path) -> dict:
             except ValueError as exc:
                 raise ConfigError(f"{path}:{lineno}: {exc}") from exc
     return values
-
-
-def load_config(**values) -> ExperimentConfig:
-    """The configuration from identically named values; an unknown name is a ConfigError."""
-    try:
-        return ExperimentConfig(**values)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc

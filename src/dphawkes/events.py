@@ -20,11 +20,9 @@ _BLOCK_ROWS = 1 << 16
 # positional notation) and ids in [0, 1e16).
 _DIGITS4 = np.stack(np.meshgrid(*[np.arange(48, 58, dtype=np.uint8)] * 4, indexing="ij"),
                     axis=-1).view(np.uint32).ravel()  # b"0000" .. b"9999"
-_POW5 = 5 ** np.arange(22, dtype=np.uint64)  # to 21: the log10 estimate may be one low
 _POW10 = 10 ** np.arange(17, dtype=np.int64)
-_LOW32 = 2**32 - 1
 _POW10U = 10 ** np.arange(20, dtype=np.uint64)
-_POW10F = 10.0 ** np.arange(21)  # exact doubles
+_POW10F = 10.0 ** np.arange(22)  # exact doubles; to 21: the log10 estimate may be one low
 _NOT_DIGIT = 0x8080808080808080  # the bits _digits sets in acc for a byte that is not a digit
 _READ_ROWS = 1 << 13
 _SCAN = 1 << 20  # bytes scanned at a time for line ends, commas and dots
@@ -172,38 +170,46 @@ def _decimal17(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     (d = x = 0 for t = 0). Every t must be 0 or in [1e-4, 1e16)."""
     zero = t == 0
     t = np.where(zero, 1.0, t)
-    bits = t.view(np.uint64)
-    m = ((bits & (2**52 - 1)) | 2**52) << 3  # t = m * 2**e; 3 spare bits keep every shift right
-    e = (bits >> 52).astype(np.int64) - 1078
     x = np.floor(np.log10(t)).astype(np.int64)  # at most 1 off
-    d = _round_scaled(m, e, 16 - x)
+    d = _round_scaled(t, 16 - x)
     # One correction fixes the estimate, and a rounding carry onto 10**17.
     off = (d >= 10**17).astype(np.int64) - (d < 10**16)
     fix = np.flatnonzero(off)
     if fix.size:
         x[fix] += off[fix]
-        d[fix] = _round_scaled(m[fix], e[fix], 16 - x[fix])
+        d[fix] = _round_scaled(t[fix], 16 - x[fix])
     d[zero] = 0
     x[zero] = 0
     return x, d
 
 
-def _round_scaled(m: np.ndarray, e: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """m * 2**e * 10**q rounded half to even, for the m, e and q of _decimal17.
+def _round_scaled(t: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """t * 10**q rounded half to even, as int64, for the t and q of _decimal17:
+    t in [1e-4, 1e16), 0 <= q <= 21 and 10**15 <= t * 10**q < 10**18.
 
-    m * 5**q is formed exactly as hi * 2**64 + lo from 32-bit limbs, then
-    shifted right by s = -(e + q) bits, with 1 <= s <= 63 on that domain.
+    Two facts make it exact. 10**q is an exact double, so _two_product gives
+    t * 10**q = ph + pl. And e = (ph - rint(ph)) + pl is exact: for ph >= 2**53 it
+    is pl; below, |e| <= 1 and both terms are multiples of 2**-52, as is t * 10**q
+    (t's 53-bit significand times 5**q < 2**49, scaled to above 2**49). |pl| reaches
+    64 above 2**53, so the integer part is rint(ph) + floor(e) summed as int64 (a
+    double sum would round), and e - floor(e), exact, rounds it half to even.
     """
-    p = _POW5[q]
-    m1, m0, p1, p0 = m >> 32, m & _LOW32, p >> 32, p & _LOW32
-    low = m0 * p0
-    mid = m0 * p1 + m1 * p0 + (low >> 32)
-    lo = (mid << 32) | (low & _LOW32)
-    hi = m1 * p1 + (mid >> 32)
-    s = (-(e + q)).astype(np.uint64)
-    d = (hi << (64 - s)) | (lo >> s)
-    rem, half = lo & ((1 << s) - 1), 1 << (s - 1)
-    return d + ((rem > half) | ((rem == half) & (d & 1 == 1)))
+    ph, pl = _two_product(t, _POW10F[q])
+    r = np.rint(ph)
+    e = (ph - r) + pl
+    k = np.floor(e)
+    d, g = r.astype(np.int64) + k.astype(np.int64), e - k
+    return d + ((g > 0.5) | ((g == 0.5) & (d & 1 == 1)))
+
+
+def _two_product(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(ph, pl) with ph = fl(a * b) and ph + pl = a * b exactly: Dekker's TwoProduct
+    (1971) from Veltkamp splits, as numpy has no fused multiply-add. Exact while
+    no partial product overflows or underflows, as on both callers' domains."""
+    a_hi, b_hi = (c - (c - v) for v in (a, b) for c in [v * 134217729.0])
+    a_lo, b_lo = a - a_hi, b - b_hi
+    ph = a * b
+    return ph, ((a_hi * b_hi - ph) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
 
 
 def _ascii(v: np.ndarray, chunks: int) -> np.ndarray:
@@ -331,8 +337,8 @@ def _nearest_double(w: np.ndarray, f: np.ndarray) -> np.ndarray:
     <= 2**(k-53) / P is below the gap between doubles at min(w, fl(w)) / P >= 2**k / P,
     so at most one rounding midpoint lies between w/P and fl(w)/P: the answer is q or
     a neighbour of q (Clinger 1990). r = w - q*P decides, and is computed exactly:
-    Dekker's TwoProduct (numpy has no FMA) gives q*P = ph + pl; fl(w) - ph is exact
-    (Sterbenz), and so are the sums that take pl and add w - fl(w) (|w - fl(w)| <= 8),
+    _two_product gives q*P = ph + pl; fl(w) - ph is exact (Sterbenz), and so
+    are the sums that take pl and add w - fl(w) (|w - fl(w)| <= 8),
     as each is a multiple of 2**min(0, e) below 2**53 of them, where 2**e divides q*P.
     q moves up if 2r > (q+ - q)*P, down if 2r < (q- - q)*P (exact: the gaps are powers
     of two), and to the even one on a tie.
@@ -342,10 +348,7 @@ def _nearest_double(w: np.ndarray, f: np.ndarray) -> np.ndarray:
     q = wf / p
     if w.max(initial=0) < 2**53:  # w = fl(w): q is the answer
         return q
-    q_hi, p_hi = (c - (c - a) for a in (q, p) for c in [a * 134217729.0])  # Veltkamp splits
-    q_lo, p_lo = q - q_hi, p - p_hi
-    ph = q * p
-    pl = ((q_hi * p_hi - ph) + q_hi * p_lo + q_lo * p_hi) + q_lo * p_lo
+    ph, pl = _two_product(q, p)
     r2 = 2 * (((wf - ph) - pl) + (w - wf.astype(np.uint64)).view(np.int64))
     bits = q.view(np.int64)  # the gaps: q's ulp above, its predecessor's below (inf at q = 0)
     gap_up = (bits & 0x7FF << 52).view(np.float64) * (p * 2.0**-52)

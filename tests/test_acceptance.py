@@ -28,6 +28,8 @@ from dphawkes import (ComplexityInputs, HawkesParams, NonConvergence, ParamBound
 from dphawkes.config import ExperimentConfig
 from dphawkes.experiments import run_sweep, run_time_to_threshold, summarize_sweep
 from dphawkes.privacy import SensitivitySpec
+from dphawkes.rng import as_generator
+from dphawkes.simulate import _generations, default_warmup
 
 from tests.test_branching import borel_chi_square_pvalue
 from tests.test_complexity import (GOLDEN_NONPRIVATE, GOLDEN_PRIVATE, inputs_a,
@@ -178,10 +180,32 @@ def test_criterion_05_time_to_threshold_ordering():
         f"(eps={e:g},B={b})->{t[(e, b)]:g}" for e in (1.0, 5.0, 10.0) for b in ("10", "25")))
 
 
+def branching_tree_sizes(params, horizon, seed, warmup=None):
+    """tree_sizes(simulate_branching(params, horizon, seed, warmup)).sizes, in tree-id
+    order, from the sampler's generations: no labels, sort or EventSequence."""
+    warmup = default_warmup(params.alpha) if warmup is None else warmup
+    in_window = []
+    for times, parent in _generations(params, horizon, as_generator(seed), warmup,
+                                      with_parents=True):
+        # immigrant i roots tree i; each child joins its parent's tree
+        tree = np.arange(times.size, dtype=np.int32) if parent is None else tree[parent]
+        in_window.append(tree[times >= 0])
+    sizes = np.bincount(np.concatenate(in_window))
+    return sizes[sizes > 0]
+
+
+@pytest.mark.parametrize("warmup", [0.0, 7.5, None])
+def test_branching_tree_sizes_equal_the_labeled_sequences(warmup):
+    for i in range(40):
+        params = HawkesParams(0.5 + 0.05 * i, 0.1 + 0.02 * i)
+        args = (params, 500.0 + 50 * i, 28_000 + i, warmup)
+        want = tree_sizes(simulate_branching(*args)).sizes
+        np.testing.assert_array_equal(branching_tree_sizes(*args), want)
+
+
 def test_criterion_06_borel_oracle():
     alpha = 0.5
-    seq = simulate_branching(HawkesParams(1.0, alpha), 100000.0, seed=606, warmup=0.0)
-    sizes = tree_sizes(seq).sizes
+    sizes = branching_tree_sizes(HawkesParams(1.0, alpha), 100000.0, seed=606, warmup=0.0)
     assert sizes.size >= 10_000
     pvalue = borel_chi_square_pvalue(sizes, alpha)
     assert pvalue > 0.01, pvalue
@@ -200,9 +224,9 @@ def test_criterion_07_lemma2_containment():
     n_runs = 500
     exceed = 0
     for i in range(n_runs):
-        seq = simulate_branching(HawkesParams(mu, alpha), horizon,
-                                 seed=300_000 + i, warmup=0.0)
-        if tree_sizes(seq).sizes.max() > cap:
+        sizes = branching_tree_sizes(HawkesParams(mu, alpha), horizon,
+                                     seed=300_000 + i, warmup=0.0)
+        if sizes.max() > cap:
             exceed += 1
     frac = exceed / n_runs
     limit = GAMMA + 3 * math.sqrt(GAMMA * (1 - GAMMA) / n_runs)

@@ -26,6 +26,13 @@ def test_simulate_writes_contract_header(tmp_path):
     assert os.path.exists(str(out) + ".meta")
 
 
+def test_simulate_out_makes_no_out_dir(tmp_path):
+    out_dir = tmp_path / "never" / "made"
+    assert run("simulate", "--horizon", "100", "--seed", "1", "--out", str(tmp_path / "ev.csv"),
+               "--out_dir", str(out_dir)) == EXIT_OK
+    assert (tmp_path / "ev.csv").exists() and not out_dir.parent.exists()
+
+
 def test_simulate_byte_identical_rerun(tmp_path):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"

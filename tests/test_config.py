@@ -4,8 +4,8 @@ import math
 import pytest
 
 from dphawkes import ConfigError, HawkesParams, ParamBounds, PrivacyBudget
-from dphawkes.config import (CONFIG_KEYS, ExperimentConfig, delta_from_rule, load_config,
-                             parse_config_file, parse_value, round_to_multiple_of_5)
+from dphawkes.config import (CONFIG_KEYS, ExperimentConfig, delta_from_rule, parse_config_file,
+                             parse_value, round_to_multiple_of_5)
 
 
 def test_delta_rule_matches_synthetic_setup():
@@ -78,7 +78,7 @@ def test_parse_config_file(tmp_path):
         "b_values = 10, auto\n"
         "delta_mode = log\n"
         "seed = 99\n")
-    cfg = load_config(**parse_config_file(path))
+    cfg = ExperimentConfig(**parse_config_file(path))
     assert cfg.mu == 1.5
     assert cfg.alpha == 0.3
     assert cfg.epsilons == (0.5, 2.0, 10.0)
@@ -96,7 +96,7 @@ def test_unknown_key_rejected(tmp_path):
 def test_flag_overrides_file(tmp_path):
     path = tmp_path / "exp.cfg"
     path.write_text("mu = 1.5\nseed = 99\n")
-    cfg = load_config(**{**parse_config_file(path), "mu": 2.0})
+    cfg = ExperimentConfig(**{**parse_config_file(path), "mu": 2.0})
     assert cfg.mu == 2.0
     assert cfg.seed == 99
 

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -292,6 +293,21 @@ def test_csv_bytes_match_reference_on_a_million_floats(tmp_path):
     ]))
     assert ts.size >= 1_000_000
     _write_matches_reference(tmp_path, EventSequence(ts, float(ts[-1])))
+
+
+def test_two_product_is_exact_on_both_callers_domains():
+    """ph == fl(a*b) and ph + pl == a*b, for the writer's t in [1e-4, 1e16) times
+    10**q (q <= 21) and the reader's quotients fl(w) / 10**f times 10**f (f <= 20)."""
+    rng = np.random.default_rng(28)
+    lo, hi = np.array([1e-4, 1e16]).view(np.uint64)
+    t = rng.integers(lo, hi, 20_000, dtype=np.uint64).view(np.float64)
+    f = rng.integers(0, 21, 20_000)
+    quotient = rng.integers(0, 10**17, f.size, dtype=np.uint64).astype(np.float64) / 10.0**f
+    for a, b in ((t, 10.0 ** rng.integers(0, 22, t.size)), (quotient, 10.0**f)):
+        ph, pl = events_module._two_product(a, b)
+        for x, y, h, low in zip(a.tolist(), b.tolist(), ph.tolist(), pl.tolist()):
+            exact = Fraction(x) * Fraction(y)
+            assert h == float(exact) and Fraction(h) + Fraction(low) == exact
 
 
 def test_csv_bytes_match_reference_where_significand_is_ten_to_sixteen(tmp_path):
