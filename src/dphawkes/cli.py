@@ -5,11 +5,11 @@ config key (one file serves a whole pipeline), --out_dir, and a flag for each
 config key it reads; any other config flag is an unrecognized argument.
 
 Exit codes: 0 success, 2 configuration error, 3 I/O or input-data error,
-4 estimation failure (non-convergence, a privatized mean at or below zero, or
-horizon below the relation-unaware threshold), 5 all sweep cells failed. Any
-out-of-range or non-finite parameter, from a flag, a --config file or a
-library type, is a ConfigError and exits 2; epsilon = inf (the labelled
-non-private limit) and an infinite --threshold are accepted.
+4 estimation failure (non-convergence, a privatized mean at or below zero, no
+event in any whole bin, or horizon below the relation-unaware threshold), 5 all
+sweep cells failed. Any out-of-range or non-finite parameter, from a flag, a
+--config file or a library type, is a ConfigError and exits 2; epsilon = inf
+(the labelled non-private limit) and an infinite --threshold are accepted.
 """
 from __future__ import annotations
 
@@ -154,8 +154,6 @@ def cmd_estimate(args, config: ExperimentConfig, given: set) -> int:
     delta = delta_from_rule(config.delta_mode, events.horizon)
     series = bin_events(events, delta)
     stats = sample_stats(series)
-    if budget is None and not stats.eta_hat > 0:
-        raise ValueError(f"{args.input}: none of its events falls in the K={stats.k} whole bins")
     # the exact statistics are printed by estimate only, never beside a release
     exact = f"  eta_hat={stats.eta_hat:.6g} sigma_sq_hat={stats.sigma_sq_hat:.6g}"
     print(f"bins K={stats.k} delta={delta:g}{exact if budget is None else ''}")
@@ -168,10 +166,10 @@ def cmd_estimate(args, config: ExperimentConfig, given: set) -> int:
                   f"sigma_sq_hat={result.sigma_sq_hat:.6g} (total budget {args.epsilon:g})")
         else:
             result = estimate(series, config.bounds)
-    except EstimationFailed:
+    except EstimationFailed as exc:
         if args.out:
             _write_result_csv(args.out, None, None, None)
-        raise
+        raise type(exc)(f"{args.input}: {exc}") from None
 
     err_mu = err_alpha = None
     truth_given = "mu" in given or "alpha" in given

@@ -111,8 +111,8 @@ def required_T_nonprivate(inputs: ComplexityInputs,
     c9 = c9_constant(inputs.bounds, constants)
     _check_preconditions(inputs, c9)
     xi, d, delta = inputs.xi, inputs.delta_prob, inputs.delta_bin
-    psi_8 = inverse_normal_cdf(1.0 - d / 8.0)
-    psi_16 = inverse_normal_cdf(1.0 - d / 16.0)
+    psi_8 = -inverse_normal_cdf(d / 8.0)
+    psi_16 = -inverse_normal_cdf(d / 16.0)
     pref = inputs.sigma_sq / xi
     terms = [
         ("mean_clt", pref * c9**2 * psi_8**2 / (xi * delta)),
@@ -171,8 +171,8 @@ def required_T_private(inputs: ComplexityInputs, budget: PrivacyBudget,
     spec = SensitivitySpec.for_b_mode(b, budget.gamma, b_mode)
     xi, d, c = inputs.xi, inputs.delta_prob, inputs.c
     q = 1.0 - b.alpha_upper
-    psi_16 = inverse_normal_cdf(1.0 - d / 16.0)
-    psi_32 = inverse_normal_cdf(1.0 - d / 32.0)
+    psi_16 = -inverse_normal_cdf(d / 16.0)
+    psi_32 = -inverse_normal_cdf(d / 32.0)
 
     base12 = c9**2 * b.mu_upper / (q**3 * xi**2)
     base13 = c * b.mu_upper / (q**3 * xi)

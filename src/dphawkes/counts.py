@@ -62,7 +62,8 @@ def bin_count(horizon: float, delta: float) -> int:
     """The K = floor(horizon / delta + 1e-9) whole bins, refused outside [2, MAX_BINS]."""
     if not delta > 0:
         raise ValueError("delta must be positive")
-    k = int(math.floor(horizon / delta + 1e-9))
+    q = horizon / delta + 1e-9
+    k = math.floor(q) if math.isfinite(q) else q  # floor(inf) raises OverflowError
     if not 2 <= k <= MAX_BINS:
         raise ValueError(f"horizon {horizon:g} yields {k:.3g} bin(s) of width {delta:g}; "
                          f"need 2 to {MAX_BINS:.0e}")

@@ -110,5 +110,5 @@ def estimate(series: CountSeries, bounds: ParamBounds) -> EstimateResult:
     """invert_moments on the series' statistics; NoCountedEvents when their mean is zero."""
     stats = sample_stats(series)
     if not stats.eta_hat > 0:
-        raise NoCountedEvents(f"none of the series' events falls in its K={stats.k} whole bins")
+        raise NoCountedEvents(f"none of its events falls in the K={stats.k} whole bins")
     return invert_moments(stats.eta_hat, stats.sigma_sq_hat, series.delta, bounds)

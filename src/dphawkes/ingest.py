@@ -43,13 +43,10 @@ def ingest_timestamps(path, time_unit_scale: float = 1.0) -> EventSequence:
 
     if np.any(np.diff(raw) < 0):
         warnings.warn(f"{path}: timestamps were not sorted; sorting", stacklevel=2)
-        raw = np.sort(raw, kind="stable")
-    keep = np.ones(raw.size, dtype=bool)
-    keep[1:] = np.diff(raw) > 0
-    n_dup = int(raw.size - keep.sum())
-    if n_dup:
-        warnings.warn(f"{path}: dropped {n_dup} duplicate timestamp(s)", stacklevel=2)
-        raw = raw[keep]
+    n_raw, raw = raw.size, np.unique(raw)
+    if raw.size < n_raw:
+        warnings.warn(f"{path}: dropped {n_raw - raw.size} duplicate timestamp(s)",
+                      stacklevel=2)
     span = float(raw[-1]) - float(raw[0])
     if not math.isfinite(span * time_unit_scale):
         raise ValueError(f"{path}: the timestamps span {span:g}, which at scale "

@@ -7,8 +7,11 @@ import warnings
 import numpy as np
 import pytest
 
+from dphawkes import (ComplexityInputs, HawkesParams, ParamBounds, eta4_monte_carlo,
+                      required_T_nonprivate)
 from dphawkes.cli import (EXIT_ALL_FAILED, EXIT_CONFIG, EXIT_ESTIMATION, EXIT_IO,
                           EXIT_OK, main)
+from dphawkes.complexity import read_complexity_csv
 from dphawkes.experiments import read_summary_csv, read_sweep_csv
 
 
@@ -92,6 +95,16 @@ def test_estimate_underdispersed_input_exits_estimation(tmp_path):
     assert code == EXIT_ESTIMATION  # constant bins: variance below mean
 
 
+def test_estimate_notes_a_root_at_the_bracket_edge(tmp_path, capsys):
+    # bins of 2, 0, 2, 0, ...: dispersion above the mean, below any alpha >= 0.5
+    path = tmp_path / "even.csv"
+    rows = "\n".join(f"{20 * i + j},," for i in range(10) for j in (1, 2))
+    path.write_text("timestamp,tree_id,parent_idx\n" + rows + "\n")
+    assert run("estimate", str(path), "--horizon", "200", "--delta_mode", "10",
+               "--alpha_lower", "0.5") == EXIT_OK
+    assert capsys.readouterr().out.splitlines()[-1] == "note: root at lower bracket edge"
+
+
 def test_estimate_single_event_binning_failure(tmp_path):
     path = tmp_path / "one.csv"
     path.write_text("timestamp,tree_id,parent_idx\n1.0,,\n")
@@ -140,7 +153,7 @@ def test_estimate_with_no_event_in_a_whole_bin_names_the_file(tmp_path, capsys):
     path = tmp_path / "late.csv"
     path.write_text("timestamp,tree_id,parent_idx\n25,,\n")
     flags = ("--horizon", "29", "--delta_mode", "10", "--out_dir", str(tmp_path))
-    assert run("estimate", str(path), *flags) == EXIT_IO
+    assert run("estimate", str(path), *flags) == EXIT_ESTIMATION
     assert f"{path}: none of its events falls in the K=2 whole bins" in capsys.readouterr().err
     # privatize decides nothing on the exact statistics: it releases, here into a failure
     assert run("privatize", str(path), "--epsilon", "10", "--seed", "1", *flags) \
@@ -151,6 +164,27 @@ def test_estimate_with_no_event_in_a_whole_bin_names_the_file(tmp_path, capsys):
 def _result_row(path) -> dict:
     header, row = path.read_text().splitlines()
     return dict(zip(header.split(","), row.split(",")))
+
+
+def test_estimate_with_no_counted_event_fails_like_every_estimate(tmp_path, capsys):
+    # refused once, by estimator.estimate: exit 4 and a converged=0 row
+    path, out = tmp_path / "late.csv", tmp_path / "r.csv"
+    path.write_text("timestamp,tree_id,parent_idx\n25,,\n")
+    assert run("estimate", str(path), "--horizon", "29", "--delta_mode", "10",
+               "--out", str(out)) == EXIT_ESTIMATION
+    assert capsys.readouterr().err.splitlines() == [
+        f"estimation failed: {path}: none of its events falls in the K=2 whole bins"]
+    assert _result_row(out)["converged"] == "0"
+
+
+def test_bin_count_past_float_range_is_an_input_error(tmp_path, capsys):
+    # horizon / delta overflows to inf, which int() cannot take (the flag table
+    # tries --delta_mode 1e-320 on every binning command)
+    path = tmp_path / "ev.csv"
+    path.write_text("timestamp,tree_id,parent_idx\n25,,\n")
+    assert run("estimate", str(path), "--horizon", "1e308", "--delta_mode", "1e-10") == EXIT_IO
+    assert capsys.readouterr().err.splitlines() == [
+        "input error: horizon 1e+308 yields inf bin(s) of width 1e-10; need 2 to 1e+08"]
 
 
 def test_unseeded_release_draws_fresh_noise(tmp_path):
@@ -327,6 +361,26 @@ def test_complexity_private_takes_the_release_b_label(tmp_path, capsys, b, lapla
     assert out[0] == "required T = 8.16968e+22 (binding term: var_fourth_moment)"
     assert f"  {'laplace_tail':<20} {laplace_tail}" in out
     assert f"  {'min_horizon':<20} {min_horizon}" in out
+
+
+def test_complexity_estimates_eta4_by_monte_carlo(tmp_path, capsys):
+    report = tmp_path / "report.csv"
+    assert run("complexity", "--mu", "1", "--alpha", "0.05", "--mu_lower", "1", "--mu_upper", "1",
+               "--alpha_lower", "0.05", "--alpha_upper", "0.1", "--xi", "2",
+               "--delta_prob", "0.05", "--delta_bin", "40", "--sigma_sq", "50",
+               "--eta4_bins", "10000", "--seed", "1", "--out", str(report)) == EXIT_OK
+    est = eta4_monte_carlo(HawkesParams(1.0, 0.05), 40.0, 10000, 1)
+    assert capsys.readouterr().out.startswith(f"eta4 Monte-Carlo estimate: {est.value:.6g}")
+    inputs = ComplexityInputs(bounds=ParamBounds(1.0, 1.0, 0.05, 0.1), xi=2.0, delta_prob=0.05,
+                              delta_bin=40.0, eta4=est.value, sigma_sq=50.0)
+    assert read_complexity_csv(report).required_T == required_T_nonprivate(inputs).required_T
+
+
+def test_complexity_private_bound_requires_epsilon(capsys):
+    assert run("complexity", "--private", "--xi", "40", "--delta_prob", "0.05",
+               "--delta_bin", "30000", "--sigma_sq", "239986", "--eta4", "1.8e11") == EXIT_CONFIG
+    assert capsys.readouterr().err == \
+        "configuration error: --epsilon is required for the private bound\n"
 
 
 def test_complexity_inadmissible_is_config_error(tmp_path):

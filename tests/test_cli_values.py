@@ -18,7 +18,7 @@ from dphawkes.cli import (EXIT_ALL_FAILED, EXIT_CONFIG, EXIT_ESTIMATION, EXIT_IO
                           EXIT_OK, build_parser, main)
 from dphawkes.config import CONFIG_KEYS
 
-VALUES = ("nan", "inf", "-inf", "0", "-1", "1e300", "", "abc")
+VALUES = ("nan", "inf", "-inf", "0", "-1", "1e300", "1e-320", "", "abc")
 
 BASE = {
     "simulate": ("simulate", "--horizon", "1000", "--seed", "1"),
@@ -106,6 +106,24 @@ NOT_REFUSED = {
     # a bin wider than the horizon leaves fewer than two bins (an input error)
     ("delta_mode", "1e300"): (EXIT_OK, dict.fromkeys(
         ("estimate", "privatize", "sweep", "time-to-threshold"), EXIT_IO)),
+    # tiny positive values. A truth or prior-box value is valid, though no sweep
+    # cell then converges and the complexity preconditions fail at mu_lower 1e-320
+    ("mu", "1e-320"): (EXIT_OK, {"sweep": EXIT_ALL_FAILED, "complexity": EXIT_CONFIG}),
+    ("alpha", "1e-320"): (EXIT_OK, {"sweep": EXIT_ALL_FAILED, "complexity": EXIT_CONFIG}),
+    ("mu_lower", "1e-320"): (EXIT_OK, {"complexity": EXIT_CONFIG}),
+    ("alpha_lower", "1e-320"): (EXIT_OK, {}),
+    ("warmup", "1e-320"): (EXIT_OK, {}),
+    ("threshold", "1e-320"): (EXIT_OK, {}),  # never met: every cell is capped
+    ("scale", "1e-320"): (EXIT_OK, {}),
+    ("sigma_sq", "1e-320"): (EXIT_OK, {}),
+    ("eta4", "1e-320"): (EXIT_OK, {}),
+    ("c", "1e-320"): (EXIT_OK, {}),
+    # a horizon or first probe that leaves no bins, or that the events do not fit;
+    # simulate writes an empty sequence
+    ("horizon", "1e-320"): (EXIT_IO, {"simulate": EXIT_OK}),
+    ("t_min", "1e-320"): (EXIT_IO, {}),
+    # a bin so narrow that the horizon / delta quotient overflows to inf bins
+    ("delta_mode", "1e-320"): (EXIT_IO, {}),
 }
 
 CASES = [(command, flag) for command in BASE

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -241,6 +242,24 @@ def test_private_requires_c():
                            eta4=1.8e11, sigma_sq=239986.0)
     with pytest.raises(ValueError):
         required_T_private(inp, PrivacyBudget(epsilon=1.0, gamma=0.05))
+
+
+@pytest.mark.parametrize("delta_prob", [1e-10, 1e-16])
+def test_tail_quantiles_hold_for_a_small_delta_prob(delta_prob):
+    # 1 - 1e-16/8 rounds to 1.0, which no quantile takes; the lower tail keeps every digit
+    inp = dataclasses.replace(inputs_a(), delta_prob=delta_prob)
+    b, c9 = inp.bounds, c9_constant(inp.bounds)
+    psi = {m: sps.norm.isf(delta_prob / m) for m in (8, 16, 32)}
+    nonprivate = dict(required_T_nonprivate(inp).all_terms)
+    assert nonprivate["mean_clt"] == pytest.approx(
+        inp.sigma_sq / inp.xi * c9**2 * psi[8]**2 / (inp.xi * inp.delta_bin), rel=1e-12)
+    assert nonprivate["var_mean_square"] == pytest.approx(
+        inp.sigma_sq / inp.xi * 3.0 * c9 * psi[16]**2, rel=1e-12)
+    private = dict(required_T_private(inp, PrivacyBudget(epsilon=1.0, gamma=0.05)).all_terms)
+    base12 = c9**2 * b.mu_upper / ((1.0 - b.alpha_upper)**3 * inp.xi**2)
+    assert private["mean_clt"] == pytest.approx(base12 * psi[16]**2, rel=1e-12)
+    assert private["var_fourth_moment"] == pytest.approx(
+        base12 * 9.0 * c9**2 * psi[32]**2 * (inp.eta4 - inp.sigma_sq), rel=1e-12)
 
 
 def test_small_delta_prob_binds_markov():

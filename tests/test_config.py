@@ -93,6 +93,13 @@ def test_unknown_key_rejected(tmp_path):
         parse_config_file(path)
 
 
+def test_line_without_equals_sign_rejected(tmp_path):
+    path = tmp_path / "bad.cfg"
+    path.write_text("# a comment\n\nmu = 1.0\nalpha 0.3\n")
+    with pytest.raises(ConfigError, match=r"bad\.cfg:4: expected key = value"):
+        parse_config_file(path)
+
+
 def test_flag_overrides_file(tmp_path):
     path = tmp_path / "exp.cfg"
     path.write_text("mu = 1.5\nseed = 99\n")

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from dphawkes import (CountSeries, EventSequence, HawkesParams, bin_events,
                       sample_stats, simulate_thinning, theoretical_moments)
-from dphawkes.counts import BIN_BLOCK, bin_times
+from dphawkes.counts import BIN_BLOCK, MAX_BINS, bin_count, bin_times
 
 
 def test_bin_events_example():
@@ -34,6 +34,18 @@ def test_bin_events_needs_two_bins():
     seq = EventSequence(np.array([0.5]), horizon=1.5)
     with pytest.raises(ValueError):
         bin_events(seq, 1.0)
+
+
+@pytest.mark.parametrize("horizon, delta", [(1000.0, 1e-320), (1e308, 1e-10)])
+def test_bin_count_refuses_a_quotient_past_float_range(horizon, delta):
+    # refused like any other K outside the range, not converted
+    with pytest.raises(ValueError, match=r"yields inf bin\(s\)"):
+        bin_count(horizon, delta)
+
+
+def test_bin_count_takes_both_ends_of_the_range():
+    assert bin_count(2.0, 1.0) == 2
+    assert bin_count(float(MAX_BINS), 1.0) == MAX_BINS
 
 
 def test_bin_boundary_left_closed():

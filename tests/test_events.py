@@ -48,6 +48,17 @@ def test_labels_must_come_together():
         EventSequence(np.array([0.5]), 1.0, tree_id=np.array([0]), parent_idx=None)
 
 
+def test_rejects_shapes_that_are_not_one_sequence():
+    with pytest.raises(ValueError, match="timestamps must be one-dimensional"):
+        EventSequence(np.array([[0.5, 1.0]]), horizon=2.0)
+    with pytest.raises(ValueError, match="label arrays must match timestamps in length"):
+        EventSequence(np.array([0.5, 1.0]), 2.0, tree_id=np.array([0]),
+                      parent_idx=np.array([-1]))
+    with pytest.raises(ValueError, match="label arrays must match timestamps in length"):
+        EventSequence(np.array([0.5, 1.0]), 2.0, tree_id=np.array([0, 0]),
+                      parent_idx=np.array([-1, 0, 1]))
+
+
 def test_csv_round_trip_unlabeled(tmp_path):
     seq = EventSequence(np.array([0.123456789012345, 1.0, 1.9999999999]), horizon=2.0)
     path = tmp_path / "ev.csv"

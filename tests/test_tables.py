@@ -129,6 +129,15 @@ def test_wrong_header_raises(tmp_path, name):
         READERS[name](path)
 
 
+@pytest.mark.parametrize("name", sorted(READERS))
+def test_blank_lines_are_skipped(tmp_path, name):
+    header, *rows = GOLDEN[name][1].splitlines(keepends=True)
+    plain, blank = tmp_path / f"{name}.csv", tmp_path / f"{name}_blank.csv"
+    plain.write_bytes(GOLDEN[name][1])
+    blank.write_bytes(header + b"\n" + b"  \r\n".join(rows) + b"\n")  # rows end in "\n"
+    assert str(READERS[name](blank)) == str(READERS[name](plain))
+
+
 @pytest.mark.parametrize("change", ["short", "long"])
 @pytest.mark.parametrize("name", sorted(READERS))
 def test_wrong_field_count_raises(tmp_path, name, change):
@@ -140,3 +149,10 @@ def test_wrong_field_count_raises(tmp_path, name, change):
     path.write_bytes(b"".join(lines))
     with pytest.raises(ValueError, match=path.name):
         READERS[name](path)
+
+
+def test_complexity_table_without_a_binding_term_raises(tmp_path):
+    path = tmp_path / "complexity.csv"
+    path.write_text("term_label,value,binding\nmean_clt,1.5,0\nvar_markov,2.5,0\n")
+    with pytest.raises(ValueError, match="no binding term marked"):
+        read_complexity_csv(path)
