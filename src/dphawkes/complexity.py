@@ -39,13 +39,15 @@ def c9_constant(bounds: ParamBounds, constants: str = "theorem") -> float:
     constants="appendix" the private-proof variant (10, 10/3).
     """
     q = 1.0 - bounds.alpha_upper
+    if constants not in ("theorem", "appendix"):
+        raise ValueError(f"unknown constants variant {constants!r}")
+    if not bounds.mu_lower * q**2:  # the smallest denominator underflows
+        return math.inf
     if constants == "theorem":
         return max(8.0 / (bounds.mu_lower * q),
                    1.0 + 8.0 * bounds.mu_upper / (bounds.mu_lower * q**2) + 4.0 / (3.0 * q))
-    if constants == "appendix":
-        return max(10.0 / (bounds.mu_lower * q),
-                   2.0 + 10.0 * bounds.mu_upper / (bounds.mu_lower * q**2) + 10.0 / (3.0 * q))
-    raise ValueError(f"unknown constants variant {constants!r}")
+    return max(10.0 / (bounds.mu_lower * q),
+               2.0 + 10.0 * bounds.mu_upper / (bounds.mu_lower * q**2) + 10.0 / (3.0 * q))
 
 
 @dataclass(frozen=True)
@@ -74,6 +76,9 @@ class ComplexityInputs:
                 raise ConfigError(f"{name} must be positive and finite, got {value}")
         if not 0 < self.delta_prob <= 1:
             raise ConfigError(f"delta_prob must lie in (0, 1], got {self.delta_prob}")
+        if not self.delta_prob / 32.0:
+            raise ConfigError(f"delta_prob {self.delta_prob} is out of float range: "
+                              "delta_prob/32 underflows to 0")
 
 
 @dataclass(frozen=True)
@@ -88,8 +93,8 @@ def _check_preconditions(inputs: ComplexityInputs, c9: float) -> None:
     if not inputs.xi < xi_cap:
         raise PreconditionViolated(
             f"xi {inputs.xi:.6g} violates xi < C9*mu_lower/6 = {xi_cap:.6g}")
-    delta_floor = (4.0 * c9 * inputs.bounds.mu_upper
-                   / ((1.0 - inputs.bounds.alpha_upper) ** 4 * inputs.xi))
+    denominator = (1.0 - inputs.bounds.alpha_upper) ** 4 * inputs.xi
+    delta_floor = 4.0 * c9 * inputs.bounds.mu_upper / denominator if denominator else math.inf
     if not inputs.delta_bin > delta_floor:
         raise PreconditionViolated(
             f"delta_bin {inputs.delta_bin:.6g} violates "

@@ -17,10 +17,10 @@ _UNLABELED_ROW = "%.17g,,\r\n"
 _BLOCK_ROWS = 1 << 16
 
 # The numpy row formatter covers timestamps 0 and [1e-4, 1e16) (printed in
-# positional notation) and ids in [0, 1e16).
+# positional notation) and every int64 id.
 _DIGITS4 = np.stack(np.meshgrid(*[np.arange(48, 58, dtype=np.uint8)] * 4, indexing="ij"),
                     axis=-1).view(np.uint32).ravel()  # b"0000" .. b"9999"
-_POW10 = 10 ** np.arange(17, dtype=np.int64)
+_POW10 = 10 ** np.arange(19, dtype=np.int64)
 _POW10U = 10 ** np.arange(20, dtype=np.uint64)
 _POW10F = 10.0 ** np.arange(22)  # exact doubles; to 21: the log10 estimate may be one low
 _NOT_DIGIT = 0x8080808080808080  # the bits _digits sets in acc for a byte that is not a digit
@@ -109,7 +109,7 @@ def write_events_csv(events: EventSequence, path) -> None:
             t, g, p = events.timestamps[rows], None, None
             if events.labeled:
                 g, p = events.tree_id[rows], events.parent_idx[rows]
-            if _in_numpy_range(t, g, p):
+            if np.all(((t >= 1e-4) | (t == 0)) & (t < 1e16)):
                 fh.write(_format_rows(t, g, p))
             else:
                 fh.write(_template_rows(t, g, p))
@@ -121,13 +121,6 @@ def _template_rows(t, g, p) -> bytes:
         return "".join(map(_UNLABELED_ROW.__mod__, t.tolist())).encode()
     return "".join([_CHILD_ROW % row if row[2] >= 0 else _ROOT_ROW % row[:2]
                     for row in zip(t.tolist(), g.tolist(), p.tolist())]).encode()
-
-
-def _in_numpy_range(t, g, p) -> bool:
-    """Whether _format_rows can format every value of the block."""
-    if not np.all(((t >= 1e-4) | (t == 0)) & (t < 1e16)):
-        return False
-    return g is None or (g.min() >= 0 and max(g.max(), p.max()) < 10**16)
 
 
 def _format_rows(t, g, p) -> bytes:

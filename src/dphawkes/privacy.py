@@ -9,8 +9,9 @@ relation-aware mechanism with B = c2*log(T) (SensitivitySpec.tree_cap).
 Budgets here are per statistic; the released pair composes to twice the
 per-statistic epsilon (PrivacyBudget.for_total halves a total). A release, like its
 bound complexity.required_T_private, is requested as (budget, B label), whose one
-grammar and meaning are check_b_mode and SensitivitySpec.for_b_mode; every private
-estimate in the package goes through private_estimate, the one release path.
+grammar and meaning are check_b_mode and SensitivitySpec.for_b_mode, the spec's one
+constructor; every private estimate in the package goes through private_estimate,
+the one release path.
 """
 from __future__ import annotations
 
@@ -56,11 +57,8 @@ def check_b_mode(b: str) -> str:
 
 
 def c1_constant(bounds: ParamBounds, gamma: float) -> float:
-    return math.sqrt(1.1 * bounds.mu_upper / ((1.0 - bounds.alpha_upper) ** 3 * gamma))
-
-
-def c2_constant(bounds: ParamBounds) -> float:
-    return 3.0 / (1.0 - bounds.alpha_upper) ** 2
+    denominator = (1.0 - bounds.alpha_upper) ** 3 * gamma
+    return math.sqrt(1.1 * bounds.mu_upper / denominator) if denominator else math.inf
 
 
 def horizon_threshold(mu_upper: float, gamma: float) -> float:
@@ -78,7 +76,8 @@ class SensitivitySpec:
     b is a known cap B (relation-aware) or None (relation-unaware), where the
     cap is the progeny bound c2*log(T). The same user-supplied gamma feeds c1
     and the horizon threshold, which is 0 in relation-aware mode (no horizon
-    requirement) and at least e^{1/c2} (a cap of one event) otherwise.
+    requirement) and at least e^{1/c2} (a cap of one event) otherwise. The
+    package builds a spec only with for_b_mode, from the cap's B label.
     """
 
     c1: float
@@ -87,26 +86,15 @@ class SensitivitySpec:
     min_horizon: float
 
     @classmethod
-    def relation_aware(cls, bounds: ParamBounds, gamma: float, b: int) -> "SensitivitySpec":
-        # b = 0 is the degenerate identical-sequences case (zero sensitivity)
-        if not b >= 0:
-            raise ValueError("b must be a nonnegative integer")
-        return cls(c1=c1_constant(bounds, gamma), c2=c2_constant(bounds), b=int(b),
-                   min_horizon=0.0)
-
-    @classmethod
-    def relation_unaware(cls, bounds: ParamBounds, gamma: float) -> "SensitivitySpec":
-        c2 = c2_constant(bounds)
-        return cls(c1=c1_constant(bounds, gamma), c2=c2, b=None,
-                   min_horizon=max(horizon_threshold(bounds.mu_upper, gamma),
-                                   math.exp(1.0 / c2)))
-
-    @classmethod
     def for_b_mode(cls, bounds: ParamBounds, gamma: float, b_mode: str) -> "SensitivitySpec":
         """'auto' selects relation-unaware; any other check_b_mode label is a cap B."""
-        if check_b_mode(b_mode) == "auto":
-            return cls.relation_unaware(bounds, gamma)
-        return cls.relation_aware(bounds, gamma, int(b_mode))
+        label = check_b_mode(b_mode)
+        c1 = c1_constant(bounds, gamma)
+        c2 = 3.0 / (1.0 - bounds.alpha_upper) ** 2
+        if label != "auto":
+            return cls(c1=c1, c2=c2, b=int(label), min_horizon=0.0)
+        return cls(c1=c1, c2=c2, b=None,
+                   min_horizon=max(horizon_threshold(bounds.mu_upper, gamma), math.exp(1.0 / c2)))
 
     def tree_cap(self, horizon: float) -> float:
         """Largest tree a neighbor may differ by: B, or c2*log(T) when B is unknown."""

@@ -219,7 +219,7 @@ def test_criterion_07_lemma2_containment():
     mu, alpha = 1.0, 0.5
     horizon = 270000.0
     assert validate_horizon(mu, GAMMA, horizon)
-    spec = SensitivitySpec.relation_unaware(ParamBounds(mu, mu, alpha, alpha), GAMMA)
+    spec = SensitivitySpec.for_b_mode(ParamBounds(mu, mu, alpha, alpha), GAMMA, "auto")
     cap = spec.tree_cap(horizon)
     n_runs = 500
     exceed = 0
@@ -239,7 +239,7 @@ def test_criterion_08_sensitivity_containment():
     p = HawkesParams(1.0, 0.5)
     b, delta, k = 10, 10.0, 500
     horizon = k * delta
-    spec = SensitivitySpec.relation_aware(PAPER_BOUNDS, GAMMA, b)
+    spec = SensitivitySpec.for_b_mode(PAPER_BOUNDS, GAMMA, str(b))
     mean_cap = mean_sensitivity(spec, k, horizon)
     var_cap = variance_sensitivity(spec, k, delta, horizon)
     rng = np.random.default_rng(808)

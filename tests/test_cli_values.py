@@ -18,7 +18,7 @@ from dphawkes.cli import (EXIT_ALL_FAILED, EXIT_CONFIG, EXIT_ESTIMATION, EXIT_IO
                           EXIT_OK, build_parser, main)
 from dphawkes.config import CONFIG_KEYS
 
-VALUES = ("nan", "inf", "-inf", "0", "-1", "1e300", "1e-320", "", "abc")
+VALUES = ("nan", "inf", "-inf", "0", "-1", "1e300", "1e-320", "5e-324", "", "abc")
 
 BASE = {
     "simulate": ("simulate", "--horizon", "1000", "--seed", "1"),
@@ -125,6 +125,9 @@ NOT_REFUSED = {
     # a bin so narrow that the horizon / delta quotient overflows to inf bins
     ("delta_mode", "1e-320"): (EXIT_IO, {}),
 }
+# the smallest double fares as 1e-320 does (the raw log's gaps of 60 stay distinct)
+NOT_REFUSED.update({(flag, "5e-324"): outcome for (flag, value), outcome in NOT_REFUSED.items()
+                    if value == "1e-320"})
 
 CASES = [(command, flag) for command in BASE
          for flag in (*(k for k in CONFIG_KEYS if k != "out_dir"), *CLI_FLAGS[command])]

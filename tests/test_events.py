@@ -346,17 +346,20 @@ def test_csv_falls_back_for_the_block_that_needs_it(tmp_path, monkeypatch):
     assert fallback == [1]
 
 
-def test_csv_bytes_match_reference_on_id_widths(tmp_path):
+def test_csv_bytes_match_reference_on_id_widths(tmp_path, monkeypatch):
     ids = sorted({v for j in range(17) for v in (10**j - 1, 10**j)} - {10**16})
     # each tree id once as a root and once as its child
     tree = np.repeat(ids, 2)
     parent = np.where(np.arange(tree.size) % 2, np.arange(tree.size) - 1, -1)
     ts = np.arange(1, tree.size + 1) * 0.5
     _write_matches_reference(tmp_path, EventSequence(ts, ts[-1], tree, parent))
-    big = np.append(tree, [10**16, 2**63 - 1])  # above the formatter's range
+    # 17 to 19 digits, up to the largest int64, all formatted in numpy: a template
+    # call would raise
+    big = np.append(tree, [10**16, 10**17, 10**18 - 1, 10**18, 2**63 - 1])
     ts = np.arange(1, big.size + 1) * 0.5
+    monkeypatch.setattr(events_module, "_template_rows", None)
     _write_matches_reference(
-        tmp_path, EventSequence(ts, ts[-1], big, np.append(parent, [-1, -1])))
+        tmp_path, EventSequence(ts, ts[-1], big, np.append(parent, [-1] * 5)))
     # parents at every 10**j - 1 and 10**j up to 10**5, in one tree
     n = 100_002
     parent = np.arange(-1, n - 1)

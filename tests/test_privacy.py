@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -16,12 +17,12 @@ PAPER = ParamBounds(0.5, 2.0, 0.1, 0.75)
 GAMMA = 0.05
 
 
-def spec_aware(b):
-    return SensitivitySpec.relation_aware(PAPER, GAMMA, b)
+def spec_aware(b):  # any b, 0 (identical sequences, zero sensitivity) included
+    return dataclasses.replace(SensitivitySpec.for_b_mode(PAPER, GAMMA, "1"), b=b)
 
 
 def spec_unaware():
-    return SensitivitySpec.relation_unaware(PAPER, GAMMA)
+    return SensitivitySpec.for_b_mode(PAPER, GAMMA, "auto")
 
 
 def test_budget_validation():
@@ -44,7 +45,7 @@ def test_constants_exact_construction():
 def test_tree_bound_examples():
     def tree_cap(alpha_upper, horizon):  # the relation-unaware progeny bound
         bounds = ParamBounds(1.0, 1.0, alpha_upper, alpha_upper)
-        return SensitivitySpec.relation_unaware(bounds, GAMMA).tree_cap(horizon)
+        return SensitivitySpec.for_b_mode(bounds, GAMMA, "auto").tree_cap(horizon)
     assert tree_cap(0.5, 100000.0) == pytest.approx(3 * math.log(1e5) / 0.25, rel=1e-12)
     assert tree_cap(0.5, 100000.0) == pytest.approx(138.155, abs=5e-3)
     assert tree_cap(1e-12, math.e) == pytest.approx(3.0, rel=1e-9)
@@ -262,9 +263,16 @@ def test_private_estimate_labels_the_canonical_b_and_the_total_budget():
 
 
 def test_spec_for_b_mode_and_horizon_threshold():
-    assert SensitivitySpec.for_b_mode(PAPER, GAMMA, "auto") == spec_unaware()
-    assert SensitivitySpec.for_b_mode(PAPER, GAMMA, "25") == spec_aware(25)
-    assert spec_aware(25).min_horizon == 0.0
+    # the paper's box (the first complexity box) and the other two complexity boxes
+    for bounds in (PAPER, ParamBounds(0.9, 1.1, 0.3, 0.6), ParamBounds(1.0, 2.0, 0.2, 0.5)):
+        for gamma in (GAMMA, 0.5):
+            q, mu = 1.0 - bounds.alpha_upper, bounds.mu_upper
+            c1, c2 = math.sqrt(1.1 * mu / (q**3 * gamma)), 3.0 / q**2
+            for label, b in (("25", 25), ("007", 7)):
+                assert SensitivitySpec.for_b_mode(bounds, gamma, label) == \
+                    SensitivitySpec(c1, c2, b, min_horizon=0.0)
+            assert SensitivitySpec.for_b_mode(bounds, gamma, "auto") == SensitivitySpec(
+                c1, c2, None, max((mu * math.e**2 / gamma) ** 2.5, math.exp(1.0 / c2)))
     threshold = spec_unaware().min_horizon
     assert threshold == (2.0 * math.e**2 / GAMMA) ** 2.5
     assert validate_horizon(2.0, GAMMA, threshold)
@@ -356,9 +364,9 @@ class _NoDraws:
 
 
 @pytest.mark.parametrize("spec, epsilon", [
-    (SensitivitySpec.relation_aware(ParamBounds(0.5, 1e308, 0.1, 0.75), GAMMA, 10), 0.5),
-    (SensitivitySpec.relation_aware(PAPER, 1e-320, 10), 0.5),
-    (SensitivitySpec.relation_aware(PAPER, GAMMA, 10), 5e-321),
+    (SensitivitySpec.for_b_mode(ParamBounds(0.5, 1e308, 0.1, 0.75), GAMMA, "10"), 0.5),
+    (SensitivitySpec.for_b_mode(PAPER, 1e-320, "10"), 0.5),
+    (SensitivitySpec.for_b_mode(PAPER, GAMMA, "10"), 5e-321),
 ], ids=["mu_upper", "gamma", "epsilon"])
 def test_privatize_refuses_non_finite_noise_scale_before_drawing(spec, epsilon):
     budget = PrivacyBudget(epsilon=epsilon, gamma=GAMMA)
@@ -367,14 +375,14 @@ def test_privatize_refuses_non_finite_noise_scale_before_drawing(spec, epsilon):
 
 
 def test_relation_unaware_threshold_past_float_range_is_infinite():
-    spec = SensitivitySpec.relation_unaware(ParamBounds(0.5, 1e300, 0.1, 0.75), GAMMA)
+    spec = SensitivitySpec.for_b_mode(ParamBounds(0.5, 1e300, 0.1, 0.75), GAMMA, "auto")
     assert spec.min_horizon == math.inf
 
 
 def test_relation_unaware_refuses_a_cap_under_one_event():
     # mu_upper = 0.01 and gamma = 0.5 put the mu/gamma threshold at 0.0084 < 1
     bounds = ParamBounds(0.01, 0.01, 0.1, 0.75)
-    spec = SensitivitySpec.relation_unaware(bounds, 0.5)
+    spec = SensitivitySpec.for_b_mode(bounds, 0.5, "auto")
     assert validate_horizon(0.01, 0.5, 0.5)
     assert spec.min_horizon == math.exp(1.0 / spec.c2)
     assert spec.tree_cap(spec.min_horizon) == pytest.approx(1.0)

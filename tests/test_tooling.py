@@ -84,6 +84,30 @@ def test_release_spec_and_b_label_grammar_live_in_privacy():
     assert defining == {"privacy.py"}
 
 
+def test_release_spec_has_one_constructor():
+    # A spec is built from its B label only: for_b_mode is SensitivitySpec's one
+    # classmethod and holds every SensitivitySpec(...) or cls(...) call in the
+    # package, so a new label is one more branch there, not another constructor.
+    def calls(node, callees):
+        return {call.lineno for call in ast.walk(node) if isinstance(call, ast.Call)
+                and getattr(call.func, "id", None) in callees}
+
+    everywhere, in_for_b_mode, classmethods = set(), set(), []
+    for path in SRC.glob("*.py"):
+        for top in ast.parse(path.read_text()).body:
+            spec = isinstance(top, ast.ClassDef) and top.name == "SensitivitySpec"
+            callees = {"SensitivitySpec", "cls"} if spec else {"SensitivitySpec"}
+            everywhere |= {(path.name, line) for line in calls(top, callees)}
+            for method in top.body if spec else ():
+                if isinstance(method, ast.FunctionDef) and "classmethod" in [
+                        getattr(d, "id", None) for d in method.decorator_list]:
+                    classmethods.append(method.name)
+                    if method.name == "for_b_mode":
+                        in_for_b_mode = {(path.name, line) for line in calls(method, callees)}
+    assert classmethods == ["for_b_mode"]
+    assert everywhere == in_for_b_mode != set()
+
+
 def test_estimation_failures_are_caught_by_their_base_class():
     # A failed estimate is one rule: an except clause names EstimationFailed,
     # never one of its subclasses, and the base class is defined once.
