@@ -48,8 +48,7 @@ def tree_sizes(events: EventSequence) -> TreeStats:
                          horizon=events.horizon)
     if not events.labeled:
         raise ValueError("sequence carries no tree labels")
-    counts = np.bincount(events.tree_id)
-    sizes = counts[counts > 0]
+    sizes = np.unique(events.tree_id, return_counts=True)[1]  # in tree_id order
     return TreeStats(sizes=sizes, num_trees=int(sizes.size), horizon=events.horizon)
 
 

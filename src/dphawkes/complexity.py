@@ -74,6 +74,10 @@ class ComplexityInputs:
             value = getattr(self, name)
             if not 0 < value < math.inf:
                 raise ConfigError(f"{name} must be positive and finite, got {value}")
+        # A fourth central moment is at least the squared variance.
+        if self.eta4 < self.sigma_sq * self.sigma_sq:
+            raise ConfigError(f"eta4 {self.eta4:g} is below sigma_sq**2 "
+                              f"= {self.sigma_sq * self.sigma_sq:g} (sigma_sq {self.sigma_sq:g})")
         if not 0 < self.delta_prob <= 1:
             raise ConfigError(f"delta_prob must lie in (0, 1], got {self.delta_prob}")
         if not self.delta_prob / 32.0:

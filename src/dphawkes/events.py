@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import io
 import math
-import warnings
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,10 +28,6 @@ _READ_ROWS = 1 << 13
 _SCAN = 1 << 20  # bytes scanned at a time for line ends, commas and dots
 # _KEEP[n + 16]: the last clip(n, 0, 8) bytes of a little-endian word
 _KEEP = np.array([2**64 - 2**(64 - 8 * min(max(n, 0), 8)) for n in range(-16, 17)], np.uint64)
-
-# An empty label field is read as -1 (no tree id / no recorded parent).
-_EMPTY_LABEL = ((b",,", b",-1,"), (b",\r\n", b",-1\r\n"), (b",\n", b",-1\n"))
-_ROW_DTYPE = np.dtype([("t", "f8"), ("g", "i8"), ("p", "i8")])
 
 
 @dataclass(frozen=True)
@@ -237,7 +233,7 @@ def read_events_csv(path, horizon: float | None = None) -> EventSequence:
     header = data[:data.find(b"\n")] if b"\n" in data else data  # no copy of the rows
     if tuple(h.strip() for h in header.decode(errors="replace").split(",")) != CSV_HEADER:
         raise ValueError(f"{path}: expected header {','.join(CSV_HEADER)}")
-    t, g, p = _fast_rows(data) or _loadtxt_rows(path, data[len(header) + 1:])
+    t, g, p = _fast_rows(data) or _walk_rows(path, data)
     if horizon is None:
         horizon = float(t[-1]) if t.size else 0.0
     try:
@@ -352,52 +348,47 @@ def _nearest_double(w: np.ndarray, f: np.ndarray) -> np.ndarray:
     return (bits + up - down).view(np.float64)
 
 
-def _loadtxt_rows(path, body: bytes):
-    """The (t, g, p) of read_events_csv by np.loadtxt, for any file of the grammar."""
-    # In a row of three fields only an empty tree_id sits between two commas.
-    empty_tree_rows = body.count(b",,")
-    for empty, filled in _EMPTY_LABEL:
-        body = body.replace(empty, filled)
-    if body.endswith(b","):
-        body += b"-1"
-    try:
-        rows = load_csv_rows(body, dtype=_ROW_DTYPE)
-    except ValueError as exc:
-        raise _row_error(path, body, exc) from exc
-    labeled = empty_tree_rows < rows.size
-    return rows["t"], rows["g"] if labeled else None, rows["p"] if labeled else None
-
-
-def load_csv_rows(data: bytes, **loadtxt_args) -> np.ndarray:
-    """Comma-separated rows parsed by np.loadtxt, with no comment character;
-    data holding no rows gives an empty array and no warning."""
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-        return np.loadtxt(io.BytesIO(data), delimiter=",", comments=None, ndmin=1,
-                          **loadtxt_args)
-
-
-def loadtxt_field(text: str, kind=float):
-    """kind(text), refused where np.loadtxt refuses the field: Python's float()
-    and int() also read '_' separators and non-ASCII digits."""
-    value = kind(text)
-    if not text.isascii() or "_" in text:
-        raise ValueError(f"could not convert string to {kind.__name__}: {text!r}")
-    return value
-
-
-def _row_error(path, body: bytes, exc: ValueError) -> ValueError:
-    """The first row of body that is refused, numbered as tables.read_table
-    numbers rows; the parser's own message if no row is found at fault."""
-    lines = (line.removesuffix("\r") for line in body.decode(errors="replace").split("\n"))
-    for n, line in enumerate(filter(None, lines), start=1):
+def _walk_rows(path, data: bytes):
+    """The (t, g, p) of read_events_csv for any file, one line at a time (empty ids are
+    -1), or a ValueError naming the first refused row, numbered as tables.read_table
+    numbers rows."""
+    t, g, p = array("d"), array("q"), array("q")
+    rows = text_lines(data)
+    next(rows, None)  # the header, already checked
+    for n, (_, line) in enumerate(rows, start=1):
         fields = line.split(",")
         if len(fields) != len(CSV_HEADER):
-            return ValueError(f"{path}: row {n} has {len(fields)} fields, "
-                              f"expected {len(CSV_HEADER)}")
+            raise ValueError(f"{path}: row {n} has {len(fields)} fields, "
+                             f"expected {len(CSV_HEADER)}")
         try:
-            for text, kind in zip(fields, (float, int, int)):
-                loadtxt_field(text, kind)
+            t.append(parse_field(fields[0]))
+            g.append(parse_field(fields[1], int) if fields[1] else -1)
+            p.append(parse_field(fields[2], int) if fields[2] else -1)
+        except OverflowError:  # array("q") holds int64 values only
+            raise ValueError(f"{path}: row {n}: an id outside int64") from None
         except ValueError as bad:
-            return ValueError(f"{path}: row {n}: {bad}")
-    return ValueError(f"{path}: {exc}")
+            raise ValueError(f"{path}: row {n}: {bad}") from None
+    # Every row has three fields, so two adjacent commas mark exactly an empty tree_id.
+    if data.count(b",,") == len(t):
+        return np.array(t), None, None
+    return np.array(t), np.array(g), np.array(p)
+
+
+def text_lines(data: bytes, start: int = 1):
+    """(number, text) of each non-empty line of data, lazily, numbered from start:
+    data split at b"\\n", with one trailing b"\\r" dropped. A "\\r" left in a line
+    ends no line: the readers refuse it."""
+    for n, line in enumerate(io.BytesIO(data), start):
+        line = line.removesuffix(b"\n").removesuffix(b"\r")
+        if line:
+            yield n, line.decode(errors="replace")
+
+
+def parse_field(text: str, kind=float):
+    """kind(text) for an ASCII field with no '_' or '\\r': the walkers' one field rule.
+    Python's float() and int() also read '_' separators and non-ASCII digits, and
+    skip a '\\r' as space."""
+    value = kind(text)
+    if not text.isascii() or "_" in text or "\r" in text:
+        raise ValueError(f"could not convert string to {kind.__name__}: {text!r}")
+    return value

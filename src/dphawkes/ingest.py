@@ -3,11 +3,12 @@ from __future__ import annotations
 
 import math
 import warnings
+from array import array
 
 import numpy as np
 
 from .errors import ConfigError
-from .events import EventSequence, decimal_fields, load_csv_rows, loadtxt_field, marks
+from .events import EventSequence, decimal_fields, marks, parse_field, text_lines
 
 
 def ingest_timestamps(path, time_unit_scale: float = 1.0) -> EventSequence:
@@ -31,13 +32,8 @@ def ingest_timestamps(path, time_unit_scale: float = 1.0) -> EventSequence:
     except ValueError:  # a header row, or a line 1 to skip anyway
         data, first_line = rest, 2
     raw = _first_fields(data)
-    if raw is None:  # any other log: np.loadtxt, with _rows_error naming what it refuses
-        try:
-            raw = load_csv_rows(data, usecols=0)
-        except ValueError as exc:
-            raise _rows_error(path, data, first_line, str(exc)) from exc
-        if not np.isfinite(raw).all():
-            raise _rows_error(path, data, first_line, "non-finite timestamp")
+    if raw is None:
+        raw = _walk_first_fields(path, data, first_line)
     if not raw.size:
         raise ValueError(f"{path}: no timestamps found")
 
@@ -79,22 +75,21 @@ def _first_fields(data: bytes) -> np.ndarray | None:
     return decimal_fields(np.ndarray((buf.size - 7,), "<u8", buf, strides=(1,)), start, dot, end)
 
 
-def _rows_error(path, data: bytes, first_line: int, reason: str) -> ValueError:
-    """List the lines whose first field is not a finite number; blank lines are
-    skipped. The given reason if no line is found at fault."""
-    bad = []
-    for lineno, line in enumerate(data.decode(errors="replace").split("\n"), start=first_line):
-        line = line.removesuffix("\r")
-        if not line:
-            continue
+def _walk_first_fields(path, data: bytes, first_line: int) -> np.ndarray:
+    """The first field of each non-empty line as a finite float, one line at a time, or a
+    ValueError listing the lines (counted in the file) that hold anything else."""
+    raw, bad = array("d"), []
+    for lineno, line in text_lines(data, start=first_line):
         try:
-            ok = math.isfinite(loadtxt_field(line.split(",", 1)[0]))
+            value = parse_field(line.split(",", 1)[0])
         except ValueError:
-            ok = False
-        if not ok:
+            value = math.nan
+        if math.isfinite(value) and "\r" not in line:
+            raw.append(value)
+        else:
             bad.append(lineno)
-    if not bad:
-        return ValueError(f"{path}: {reason}")
-    shown = ", ".join(map(str, bad[:10]))
-    more = "" if len(bad) <= 10 else f" (+{len(bad) - 10} more)"
-    return ValueError(f"{path}: unparsable or non-finite timestamps at lines {shown}{more}")
+    if bad:
+        shown = ", ".join(map(str, bad[:10]))
+        more = "" if len(bad) <= 10 else f" (+{len(bad) - 10} more)"
+        raise ValueError(f"{path}: unparsable or non-finite timestamps at lines {shown}{more}")
+    return np.array(raw)

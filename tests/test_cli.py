@@ -622,6 +622,29 @@ def test_tree_stats_on_unlabeled_file_names_the_file(tmp_path, capsys):
     assert err == [f"input error: {path}: sequence carries no tree labels"]
 
 
+def test_tree_stats_counts_a_tree_with_a_large_id(tmp_path, capsys):
+    # sizes are counted per distinct id, not in a counter array as long as the largest id
+    path = tmp_path / "ev.csv"
+    path.write_text("timestamp,tree_id,parent_idx\n1.5,9999999999999999,\n")
+    assert run("tree-stats", str(path), "--out", str(tmp_path / "trees.csv")) == EXIT_OK
+    assert capsys.readouterr().out.startswith("1 trees, mean in-window size 1;")
+    assert (tmp_path / "trees.csv").read_text() == "tree_size,count\n1,1\n"
+
+
+@pytest.mark.parametrize("command, text, place", [
+    ("estimate", b"timestamp,tree_id,parent_idx\n1.5,0,\r\n2\r,0,0\n",
+     "row 2: could not convert string to float: '2\\r'"),
+    ("tree-stats", b"timestamp,tree_id,parent_idx\n1.5,99999999999999999999,\n",
+     "row 1: an id outside int64"),
+    ("ingest", b"t\n1.5\r\r\n2.5\n", "unparsable or non-finite timestamps at lines 2"),
+], ids=["lone-cr", "long-id", "ingest-lone-cr"])
+def test_fallback_refusals_name_the_row(tmp_path, capsys, command, text, place):
+    path = tmp_path / "in.csv"
+    path.write_bytes(text)
+    assert run(command, str(path), "--out_dir", str(tmp_path)) == EXIT_IO
+    assert capsys.readouterr().err.splitlines() == [f"input error: {path}: {place}"]
+
+
 def test_relation_unaware_release_below_one_event_cap_is_refused(tmp_path, capsys):
     # T = 0.45 < 1 makes the cap c2*log(T) negative; mu_upper = 0.01 and
     # gamma = 0.5 put the mu/gamma threshold below T, so only the e^{1/c2}

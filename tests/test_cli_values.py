@@ -116,7 +116,7 @@ NOT_REFUSED = {
     ("threshold", "1e-320"): (EXIT_OK, {}),  # never met: every cell is capped
     ("scale", "1e-320"): (EXIT_OK, {}),
     ("sigma_sq", "1e-320"): (EXIT_OK, {}),
-    ("eta4", "1e-320"): (EXIT_OK, {}),
+    ("eta4", "1e-320"): (EXIT_CONFIG, {}),  # refused: below sigma_sq**2
     ("c", "1e-320"): (EXIT_OK, {}),
     # a horizon or first probe that leaves no bins, or that the events do not fit;
     # simulate writes an empty sequence

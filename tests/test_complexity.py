@@ -264,8 +264,8 @@ def test_tail_quantiles_hold_for_a_small_delta_prob(delta_prob):
 
 def test_small_delta_prob_binds_markov():
     inp = inputs_a()
-    small = ComplexityInputs(bounds=inp.bounds, xi=inp.xi, delta_prob=1e-6,
-                             delta_bin=inp.delta_bin, eta4=inp.sigma_sq + 1.0,
+    small = ComplexityInputs(bounds=inp.bounds, xi=inp.xi, delta_prob=1e-10,
+                             delta_bin=inp.delta_bin, eta4=inp.sigma_sq**2,
                              sigma_sq=inp.sigma_sq, c=inp.c)
     report = required_T_nonprivate(small)
     assert report.binding_term == "var_markov"  # only 1/delta growth is unbounded

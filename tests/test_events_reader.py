@@ -53,7 +53,7 @@ def test_csv_reads_back_a_million_floats_bit_for_bit(tmp_path, monkeypatch):
     in_range = ts[(ts == 0) | ((ts >= 1e-4) & (ts < 1e16))]
     assert in_range.size > 700_000
     write_events_csv(EventSequence(in_range, float(in_range[-1])), path)
-    monkeypatch.setattr(events_module, "_loadtxt_rows", _refuse_fallback)
+    monkeypatch.setattr(events_module, "_walk_rows", _refuse_fallback)
     assert read_events_csv(path).timestamps.tobytes() == in_range.tobytes()
 
 
@@ -64,7 +64,7 @@ def test_benchmark_scale_files_read_with_no_fallback(tmp_path, monkeypatch):
     raw = tmp_path / "raw.csv"  # Unix seconds with microsecond digits
     raw.write_text("timestamp\n" + "".join(f"{1.7e9 + t:.6f}\n" for t in thinning.timestamps))
     ingested = ingest_timestamps(raw)
-    monkeypatch.setattr(events_module, "_loadtxt_rows", _refuse_fallback)
+    monkeypatch.setattr(events_module, "_walk_rows", _refuse_fallback)
     path = tmp_path / "ev.csv"
     for seq in (labeled, thinning, ingested):
         write_events_csv(seq, path)

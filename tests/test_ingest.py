@@ -178,7 +178,7 @@ def test_benchmark_raw_log_is_read_with_no_fallback(tmp_path):
                                                  for v in rows.tolist()))
     with _loadtxt_only():
         expected = _outcome(path)
-    with mock.patch.object(ingest_module, "load_csv_rows", side_effect=AssertionError):
+    with mock.patch.object(ingest_module, "_walk_first_fields", side_effect=AssertionError):
         got = _outcome(path)
     assert got == expected
     assert any("not sorted" in w for w in got[2]) and any("duplicate" in w for w in got[2])

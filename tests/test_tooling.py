@@ -165,3 +165,28 @@ def test_every_exported_name_is_called_or_listed_public():
     for name in listed:  # a listed name still exists, as the package or its module exports it
         module, _, attr = name.rpartition(".")
         assert hasattr(importlib.import_module(f"dphawkes.{module}".rstrip(".")), attr), name
+
+
+def test_each_reader_has_one_numpy_path_and_one_line_walker():
+    # A file outside the numpy grammar is parsed once, by the one function of its
+    # reader's module that walks events.text_lines; np.loadtxt parses nothing here.
+    for path in SRC.glob("*.py"):
+        for word in ("loadtxt", "load_csv_rows", "_EMPTY_LABEL", "catch_warnings"):
+            assert word not in path.read_text(), (path.name, word)
+
+    def called(node):
+        return {getattr(call.func, "id", getattr(call.func, "attr", None))
+                for call in ast.walk(node) if isinstance(call, ast.Call)}
+
+    for module, reader, numpy_path in (("events.py", "read_events_csv", "_fast_rows"),
+                                       ("ingest.py", "ingest_timestamps", "_first_fields")):
+        tree = ast.parse((SRC / module).read_text())
+        functions = {fn.name: fn for fn in tree.body if isinstance(fn, ast.FunctionDef)}
+        walkers = {name for name, fn in functions.items() if "text_lines" in called(fn)}
+        numpy_paths = {name for name, fn in functions.items() if "decimal_fields" in called(fn)}
+        assert len(walkers) == 1 and numpy_paths == {numpy_path}, module
+        assert called(functions[reader]) >= {numpy_path, *walkers}, module
+        assert "splitlines" not in called(tree), module
+        assert not [call for call in ast.walk(tree) if isinstance(call, ast.Call)
+                    and getattr(call.func, "attr", None) == "split"
+                    and any(getattr(arg, "value", None) in ("\n", b"\n") for arg in call.args)]
