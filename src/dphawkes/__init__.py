@@ -1,6 +1,6 @@
 """Hawkes simulation, moment estimation, and differentially private release."""
 
-from .branching import TreeStats, borel_pmf, discrepancy_bound, tree_sizes
+from .branching import borel_pmf, discrepancy_bound, tree_sizes
 from .complexity import (ComplexityInputs, ComplexityReport, Eta4Estimate,
                          c9_constant, eta4_monte_carlo, inverse_normal_cdf,
                          required_T_nonprivate, required_T_private)
@@ -18,7 +18,7 @@ from .simulate import (branching_counts, default_warmup, simulate_branching,
                        simulate_thinning)
 
 __all__ = [
-    "TreeStats", "borel_pmf", "discrepancy_bound", "tree_sizes",
+    "borel_pmf", "discrepancy_bound", "tree_sizes",
     "ComplexityInputs", "ComplexityReport", "Eta4Estimate", "c9_constant",
     "eta4_monte_carlo", "inverse_normal_cdf", "required_T_nonprivate", "required_T_private",
     "CountSeries", "SampleStats", "bin_events", "sample_stats",

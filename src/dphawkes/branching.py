@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -13,15 +12,6 @@ from .privacy import c1_constant
 from .tables import read_table, write_table
 
 TREE_CSV_HEADER = ("tree_size", "count")
-
-
-@dataclass(frozen=True)
-class TreeStats:
-    """Per-tree in-window sizes of a labeled sequence."""
-
-    sizes: np.ndarray
-    num_trees: int
-    horizon: float
 
 
 def borel_pmf(nu: float, j: int) -> float:
@@ -41,15 +31,13 @@ def borel_pmf(nu: float, j: int) -> float:
     return math.exp(log_p)
 
 
-def tree_sizes(events: EventSequence) -> TreeStats:
-    """Multiset of in-window tree sizes, grouped by tree_id (none if empty)."""
+def tree_sizes(events: EventSequence) -> np.ndarray:
+    """The int64 in-window size of each tree, in tree_id order (none if empty)."""
     if len(events) == 0:
-        return TreeStats(sizes=np.zeros(0, dtype=np.int64), num_trees=0,
-                         horizon=events.horizon)
+        return np.zeros(0, dtype=np.int64)
     if not events.labeled:
         raise ValueError("sequence carries no tree labels")
-    sizes = np.unique(events.tree_id, return_counts=True)[1]  # in tree_id order
-    return TreeStats(sizes=sizes, num_trees=int(sizes.size), horizon=events.horizon)
+    return np.unique(events.tree_id, return_counts=True)[1]
 
 
 def discrepancy_bound(bounds: ParamBounds, gamma: float, b: int, delta: float) -> float:
@@ -66,9 +54,9 @@ def discrepancy_bound(bounds: ParamBounds, gamma: float, b: int, delta: float) -
     return b**1.5 * math.sqrt(delta) * c1_constant(bounds, gamma)
 
 
-def write_tree_csv(stats: TreeStats, path) -> None:
-    """Histogram export: one row per observed size."""
-    sizes, counts = np.unique(stats.sizes, return_counts=True)
+def write_tree_csv(sizes: np.ndarray, path) -> None:
+    """Histogram export of tree_sizes' array: one row per observed size."""
+    sizes, counts = np.unique(sizes, return_counts=True)
     write_table(path, TREE_CSV_HEADER, zip(sizes, counts))
 
 

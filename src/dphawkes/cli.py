@@ -258,13 +258,13 @@ def cmd_complexity(args, config: ExperimentConfig, given: set) -> int:
 def cmd_tree_stats(args, config: ExperimentConfig, given: set) -> int:
     events = _load_events(args, config, given)
     try:
-        stats = tree_sizes(events)
+        sizes = tree_sizes(events)
     except ValueError as exc:
         raise ValueError(f"{args.input}: {exc}") from None
     out = args.out or os.path.join(_ensure_out_dir(config), "tree_stats.csv")
-    write_tree_csv(stats, out)
-    mean_size = float(stats.sizes.mean()) if stats.num_trees else float("nan")
-    print(f"{stats.num_trees} trees, mean in-window size {mean_size:.4g}; wrote {out}")
+    write_tree_csv(sizes, out)
+    mean_size = float(sizes.mean()) if sizes.size else float("nan")
+    print(f"{sizes.size} trees, mean in-window size {mean_size:.4g}; wrote {out}")
     return EXIT_OK
 
 

@@ -16,11 +16,10 @@ BIN_BLOCK = 1 << 16  # timestamps binned per slice, bounding the temporaries
 
 @dataclass(frozen=True)
 class CountSeries:
-    """Counts per consecutive bin of width delta; horizon is K * delta."""
+    """Counts per consecutive bin of width delta; the horizon K * delta is derived."""
 
     counts: np.ndarray
     delta: float
-    horizon: float
 
     def __post_init__(self):
         c = owned_array(self.counts, np.int64)
@@ -31,12 +30,14 @@ class CountSeries:
             raise ValueError("counts must be nonnegative")
         if not self.delta > 0:
             raise ValueError("delta must be positive")
-        if abs(c.size * self.delta - self.horizon) > 1e-9 * max(self.horizon, 1.0):
-            raise ValueError("horizon must equal K * delta")
 
     @property
     def k(self) -> int:
         return int(self.counts.size)
+
+    @property
+    def horizon(self) -> float:
+        return self.k * self.delta
 
     @cached_property
     def stats(self) -> SampleStats:
@@ -94,7 +95,7 @@ def bin_times(parts: Iterable[np.ndarray], horizon: float, delta: float) -> Coun
             first = idx.min(initial=k)  # count over the slice's own bins, not all k
             c = np.bincount(idx - first)
             counts[first:first + c.size] += c
-    return CountSeries(counts=counts, delta=delta, horizon=end)
+    return CountSeries(counts=counts, delta=delta)
 
 
 def sample_stats(series: CountSeries) -> SampleStats:

@@ -32,7 +32,6 @@ class EstimateResult:
     iterations: int
     residual: float
     boundary: str | None = None      # "lower" when the root sits at the bracket edge
-    outside_bounds: bool = False     # estimate escaped the prior box (never projected)
     epsilon_total: float | None = None
     gamma_total: float | None = None
     b_mode: str | None = None
@@ -69,12 +68,10 @@ def invert_moments(eta_hat: float, sigma_sq_hat: float, delta: float,
     tol = _RESIDUAL_RTOL * abs(sigma_sq_hat)
 
     def result(alpha: float, iters: int, res: float, boundary: str | None) -> EstimateResult:
-        mu_hat = eta_hat * (1.0 - alpha) / delta
         return EstimateResult(
-            mu_hat=mu_hat, alpha_hat=alpha, eta_hat=eta_hat,
+            mu_hat=eta_hat * (1.0 - alpha) / delta, alpha_hat=alpha, eta_hat=eta_hat,
             sigma_sq_hat=sigma_sq_hat, converged=True, iterations=iters,
-            residual=res, boundary=boundary,
-            outside_bounds=not bounds.contains(mu_hat, alpha))
+            residual=res, boundary=boundary)
 
     if g_lo >= 0.0:
         # Root at or below the bracket edge. At the dispersion floor the data

@@ -181,7 +181,7 @@ def run_time_to_threshold(config: ExperimentConfig, threshold: float,
             break
         m = round(delta / base)
         # One int noise seed per rep: every cell redraws the same two noise uniforms.
-        reps = [(CountSeries(counts[:k * m].reshape(k, m).sum(1), delta, k * delta),
+        reps = [(CountSeries(counts[:k * m].reshape(k, m).sum(1), delta),
                  derived_seed(config.seed, 4, pi, rep)) for rep, counts in enumerate(fine)]
         for cell in pending:
             errs = []

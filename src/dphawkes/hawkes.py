@@ -45,10 +45,6 @@ class ParamBounds:
         if not 0 < self.alpha_lower <= self.alpha_upper < 1:
             raise ConfigError("need 0 < alpha_lower <= alpha_upper < 1")
 
-    def contains(self, mu: float, alpha: float) -> bool:
-        return (self.mu_lower <= mu <= self.mu_upper
-                and self.alpha_lower <= alpha <= self.alpha_upper)
-
 
 @dataclass(frozen=True)
 class TheoreticalMoments:
@@ -56,7 +52,6 @@ class TheoreticalMoments:
 
     eta: float
     sigma_sq: float
-    delta: float
 
 
 def bin_variance(mu: float, alpha: float, delta: float) -> float:
@@ -71,4 +66,4 @@ def theoretical_moments(params: HawkesParams, delta: float) -> TheoreticalMoment
     if not delta > 0:
         raise ValueError("delta must be positive")
     eta = params.mu / (1.0 - params.alpha) * delta
-    return TheoreticalMoments(eta, bin_variance(params.mu, params.alpha, delta), delta)
+    return TheoreticalMoments(eta, bin_variance(params.mu, params.alpha, delta))

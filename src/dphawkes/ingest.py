@@ -28,7 +28,7 @@ def ingest_timestamps(path, time_unit_scale: float = 1.0) -> EventSequence:
     first, _, rest = data.partition(b"\n")
     first_line = 1
     try:
-        float(first.split(b",", 1)[0])
+        parse_field(first.removesuffix(b"\r").decode(errors="replace").split(",", 1)[0])
     except ValueError:  # a header row, or a line 1 to skip anyway
         data, first_line = rest, 2
     raw = _first_fields(data)

@@ -181,7 +181,7 @@ def test_criterion_05_time_to_threshold_ordering():
 
 
 def branching_tree_sizes(params, horizon, seed, warmup=None):
-    """tree_sizes(simulate_branching(params, horizon, seed, warmup)).sizes, in tree-id
+    """tree_sizes(simulate_branching(params, horizon, seed, warmup)), in tree-id
     order, from the sampler's generations: no labels, sort or EventSequence."""
     warmup = default_warmup(params.alpha) if warmup is None else warmup
     in_window = []
@@ -199,7 +199,7 @@ def test_branching_tree_sizes_equal_the_labeled_sequences(warmup):
     for i in range(40):
         params = HawkesParams(0.5 + 0.05 * i, 0.1 + 0.02 * i)
         args = (params, 500.0 + 50 * i, 28_000 + i, warmup)
-        want = tree_sizes(simulate_branching(*args)).sizes
+        want = tree_sizes(simulate_branching(*args))
         np.testing.assert_array_equal(branching_tree_sizes(*args), want)
 
 

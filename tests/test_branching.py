@@ -5,7 +5,7 @@ import pytest
 
 from dphawkes import (HawkesParams, ParamBounds, PreconditionViolated, borel_pmf,
                       discrepancy_bound, simulate_branching, theoretical_moments, tree_sizes)
-from dphawkes.branching import TreeStats, read_tree_csv, write_tree_csv
+from dphawkes.branching import read_tree_csv, write_tree_csv
 from dphawkes.counts import bin_events
 from dphawkes.events import EventSequence
 from dphawkes.privacy import c1_constant
@@ -129,7 +129,7 @@ def test_largest_tree_bound_empirical():
     for i in range(n):
         seq = simulate_branching(HawkesParams(mu, alpha), horizon, seed=30_000 + i,
                                  warmup=0.0)
-        sizes = tree_sizes(seq).sizes
+        sizes = tree_sizes(seq)
         if sizes.size == 0 or sizes.max() <= cap:
             ok += 1
     se = math.sqrt(bound * (1 - bound) / n)
@@ -140,9 +140,9 @@ def test_tree_sizes_singletons():
     seq = EventSequence(np.array([1.0, 2.0, 3.0]), horizon=5.0,
                         tree_id=np.array([0, 1, 2]),
                         parent_idx=np.array([-1, -1, -1]))
-    stats = tree_sizes(seq)
-    assert sorted(stats.sizes.tolist()) == [1, 1, 1]
-    assert stats.num_trees == 3
+    sizes = tree_sizes(seq)
+    assert sorted(sizes.tolist()) == [1, 1, 1]
+    assert sizes.size == 3
 
 
 def test_tree_sizes_requires_labels():
@@ -153,8 +153,7 @@ def test_tree_sizes_requires_labels():
 
 def test_tree_sizes_sum_matches_events():
     seq = simulate_branching(HawkesParams(1.0, 0.5), 2000.0, seed=9, warmup=0.0)
-    stats = tree_sizes(seq)
-    assert stats.sizes.sum() == len(seq)
+    assert tree_sizes(seq).sum() == len(seq)
 
 
 def borel_chi_square_pvalue(sizes: np.ndarray, alpha: float, max_j: int = 60) -> float:
@@ -191,7 +190,7 @@ def test_empirical_sizes_match_borel_chi_square():
 def test_empirical_mean_tree_size():
     alpha = 0.5
     seq = simulate_branching(HawkesParams(1.0, alpha), 20000.0, seed=72, warmup=0.0)
-    sizes = tree_sizes(seq).sizes
+    sizes = tree_sizes(seq)
     se = sizes.std(ddof=1) / math.sqrt(sizes.size)
     assert abs(sizes.mean() - 1.0 / (1.0 - alpha)) < 4 * se
 
@@ -236,14 +235,13 @@ def test_discrepancy_bound_empirical():
 
 
 def test_tree_csv_round_trip(tmp_path):
-    stats = TreeStats(sizes=np.array([1, 1, 2, 2, 2, 7]), num_trees=6, horizon=10.0)
     path = tmp_path / "trees.csv"
-    write_tree_csv(stats, path)
+    write_tree_csv(np.array([1, 1, 2, 2, 2, 7]), path)
     sizes, counts = read_tree_csv(path)
     assert sizes.tolist() == [1, 2, 7]
     assert counts.tolist() == [2, 3, 1]
 
 
 def test_empty_sequence_holds_no_trees_labelled_or_not():
-    stats = tree_sizes(EventSequence(np.zeros(0), horizon=0.0))
-    assert stats.num_trees == 0 and stats.sizes.size == 0
+    sizes = tree_sizes(EventSequence(np.zeros(0), horizon=0.0))
+    assert sizes.size == 0 and sizes.dtype == np.int64

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import runpy
 import sys
@@ -398,6 +399,18 @@ def test_tree_stats_cli(tmp_path):
                "--out_dir", str(tmp_path))
     assert code == EXIT_OK
     assert (tmp_path / "trees.csv").read_text().startswith("tree_size,count")
+
+
+def test_tree_stats_output_is_pinned(tmp_path, capsys):
+    out = tmp_path / "ev.csv"
+    run("simulate", "--mu", "1", "--alpha", "0.5", "--horizon", "2000",
+        "--seed", "6", "--out_dir", str(tmp_path), "--out", str(out))
+    trees = tmp_path / "trees.csv"
+    capsys.readouterr()
+    assert run("tree-stats", str(out), "--out", str(trees), "--out_dir", str(tmp_path)) == EXIT_OK
+    assert capsys.readouterr().out == f"2008 trees, mean in-window size 2.005; wrote {trees}\n"
+    assert hashlib.sha256(trees.read_bytes()).hexdigest() == (
+        "733fcbffbe244552f516a1d61991df8b3923712cfd8a36d4bdaab969bbd8c749")
 
 
 def test_ingest_cli_round_trip(tmp_path):

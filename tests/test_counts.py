@@ -76,30 +76,28 @@ def test_bin_index_equals_floor_division_at_every_edge(delta):
 
 def test_count_series_validation():
     with pytest.raises(ValueError):
-        CountSeries(np.array([1]), 1.0, 1.0)
+        CountSeries(np.array([1]), 1.0)
     with pytest.raises(ValueError):
-        CountSeries(np.array([1, -2]), 1.0, 2.0)
-    with pytest.raises(ValueError):
-        CountSeries(np.array([1, 2]), 1.0, 3.0)  # horizon != K * delta
+        CountSeries(np.array([1, -2]), 1.0)
 
 
 def test_sample_stats_example():
-    stats = sample_stats(CountSeries(np.array([1, 2, 0]), 1.0, 3.0))
+    stats = sample_stats(CountSeries(np.array([1, 2, 0]), 1.0))
     assert stats.eta_hat == pytest.approx(1.0)
     assert stats.sigma_sq_hat == pytest.approx(1.0)
     assert stats.k == 3
 
 
 def test_sample_stats_constant_series():
-    stats = sample_stats(CountSeries(np.array([4, 4, 4, 4]), 1.0, 4.0))
+    stats = sample_stats(CountSeries(np.array([4, 4, 4, 4]), 1.0))
     assert stats.sigma_sq_hat == 0.0
     assert stats.eta_hat == 4.0
 
 
 @given(st.lists(st.integers(0, 50), min_size=2, max_size=40), st.integers(0, 20))
 def test_shift_property(counts, c):
-    base = sample_stats(CountSeries(np.array(counts), 1.0, float(len(counts))))
-    shifted = sample_stats(CountSeries(np.array(counts) + c, 1.0, float(len(counts))))
+    base = sample_stats(CountSeries(np.array(counts), 1.0))
+    shifted = sample_stats(CountSeries(np.array(counts) + c, 1.0))
     assert shifted.eta_hat == pytest.approx(base.eta_hat + c, rel=1e-12, abs=1e-12)
     assert shifted.sigma_sq_hat == pytest.approx(base.sigma_sq_hat, rel=1e-12, abs=1e-12)
 
@@ -145,8 +143,8 @@ def test_float_pipeline_matches_identities():
     k, b = 40, 8
     y = rng.poisson(5.0, k)
     extra = np.bincount(rng.integers(0, k, b), minlength=k)
-    s1 = sample_stats(CountSeries(y, 1.0, float(k)))
-    s2 = sample_stats(CountSeries(y + extra, 1.0, float(k)))
+    s1 = sample_stats(CountSeries(y, 1.0))
+    s2 = sample_stats(CountSeries(y + extra, 1.0))
     assert s2.eta_hat - s1.eta_hat == pytest.approx(b / k, rel=1e-12)
 
 

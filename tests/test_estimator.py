@@ -83,11 +83,13 @@ def test_objective_strictly_increasing(eta_hat, delta, alpha_upper):
     assert np.all(np.diff(values) > 0)
 
 
-def test_outside_bounds_flag():
+def test_estimate_outside_the_box_is_not_projected():
     m = theoretical_moments(HawkesParams(3.0, 0.5), 10.0)
     r = invert_moments(m.eta, m.sigma_sq, 10.0,
                        ParamBounds(0.5, 2.0, 0.1, 0.75))
-    assert r.converged and r.outside_bounds  # mu_hat = 3 escapes the box
+    assert r.converged  # mu_hat = 3 lies outside the box (0.5, 2) and is returned as is
+    assert r.mu_hat == pytest.approx(3.0, rel=1e-6)
+    assert r.alpha_hat == pytest.approx(0.5, rel=1e-6)
 
 
 def test_estimate_synthetic_within_five_percent():
@@ -101,7 +103,7 @@ def test_estimate_synthetic_within_five_percent():
 
 def test_estimate_all_zero_series_rejected():
     with pytest.raises(ValueError):
-        estimate(CountSeries(np.zeros(10, dtype=int), 1.0, 10.0), WIDE)
+        estimate(CountSeries(np.zeros(10, dtype=int), 1.0), WIDE)
 
 
 def test_consistency_error_shrinks_with_horizon():

@@ -1,4 +1,4 @@
-"""The events-CSV reader's numpy path against its loadtxt fallback, and the
+"""The events-CSV reader's numpy path against its row walker, and the
 value types' ownership of their arrays."""
 from fractions import Fraction
 from unittest import mock
@@ -16,7 +16,7 @@ from .test_events import HEADER, _read_text, labeled_sequences
 
 
 def _refuse_fallback(path, body):
-    raise AssertionError("a file took the loadtxt fallback")
+    raise AssertionError("a file took the row walker")
 
 
 @pytest.mark.parametrize("row, match", [
@@ -151,7 +151,7 @@ def _outcome(path):
     return seq.timestamps.tobytes(), labels, seq.horizon
 
 
-def _same_as_loadtxt(path):
+def _same_as_row_walker(path):
     with mock.patch.object(events_module, "_fast_rows", lambda data: None):
         expected = _outcome(path)
     assert _outcome(path) == expected
@@ -159,10 +159,10 @@ def _same_as_loadtxt(path):
 
 @settings(max_examples=300, deadline=None)
 @given(events_texts())
-def test_csv_fast_path_reads_as_the_loadtxt_path(tmp_path_factory, text):
+def test_csv_fast_path_reads_as_the_row_walker(tmp_path_factory, text):
     path = tmp_path_factory.mktemp("grammar") / "ev.csv"
     path.write_bytes(text.encode())
-    _same_as_loadtxt(path)
+    _same_as_row_walker(path)
 
 
 @pytest.mark.parametrize("t", [
@@ -175,10 +175,10 @@ def test_csv_fast_path_reads_as_the_loadtxt_path(tmp_path_factory, text):
 @pytest.mark.parametrize("ids", [",,", ",0,", ",00,7", ",0000000000000000,", ",1,/", ",:,",
                                  ",00000000000000000,", ",1234567890123456,",
                                  ",12345678901234567,"])
-def test_csv_fast_path_reads_edge_fields_as_the_loadtxt_path(tmp_path, t, ids):
+def test_csv_fast_path_reads_edge_fields_as_the_row_walker(tmp_path, t, ids):
     path = tmp_path / "ev.csv"
     path.write_text(f"{HEADER}\n{t}{ids}\n")
-    _same_as_loadtxt(path)
+    _same_as_row_walker(path)
 
 
 # --- value types own their arrays -------------------------------------------
@@ -199,7 +199,7 @@ def test_a_mutation_after_construction_raises_or_leaves_the_object_valid(drawn, 
         inputs = [a[1:] for a in bases]
         targets = inputs + bases
     seq = EventSequence(inputs[0], times[-1] if times else 0.0, inputs[1], inputs[2])
-    series = CountSeries(inputs[3], 1.0, 2.0)
+    series = CountSeries(inputs[3], 1.0)
     stats = series.stats
     before = [a.copy() for a in (seq.timestamps, seq.tree_id, seq.parent_idx)]
     targets = [*targets, seq.timestamps, seq.tree_id, seq.parent_idx, series.counts]

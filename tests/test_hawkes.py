@@ -64,9 +64,6 @@ def test_bounds_validation():
         ParamBounds(1.0, 2.0, 0.5, 0.1)
     with pytest.raises(ValueError):
         ParamBounds(1.0, 2.0, 0.1, 1.0)
-    b = ParamBounds(0.5, 2.0, 0.1, 0.75)
-    assert b.contains(1.0, 0.5)
-    assert not b.contains(3.0, 0.5)
 
 
 def test_intensity_empty_history():

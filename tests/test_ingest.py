@@ -144,6 +144,18 @@ def test_headerless_first_row_is_read_from_byte_0(tmp_path):
     np.testing.assert_array_equal(ingest_timestamps(path).timestamps, [0.0, 2.25, 1234562.625])
 
 
+@pytest.mark.parametrize("text, want", [
+    (b"1_000\n2000\n3000\n", [0.0, 1000.0]),  # not a number by the field rule: a header
+    ("١\n2\n3\n".encode(), [0.0, 1.0]),  # Arabic-Indic 1
+    (b"1.5\r\r\n2.5\n3.5\n", [0.0, 1.0]),  # a \r beyond the line end
+    (b"1.5\r\n2.5\r\n", [0.0, 1.0]),  # a CRLF log keeps its first row
+    (b"1.5,x\r\n2.5\r\n", [0.0, 1.0])])
+def test_line_one_is_a_header_by_the_field_rule(tmp_path, text, want):
+    path = tmp_path / "raw.csv"
+    path.write_bytes(text)
+    np.testing.assert_array_equal(ingest_timestamps(path).timestamps, want)
+
+
 @pytest.mark.parametrize("text", ["5\n", "5"])
 def test_files_under_8_bytes_hold_one_event(tmp_path, text):
     path = tmp_path / "raw.csv"
@@ -154,7 +166,7 @@ def test_files_under_8_bytes_hold_one_event(tmp_path, text):
         bin_events(seq, 1.0)
 
 
-def _loadtxt_only():
+def _walker_only():
     return mock.patch.object(ingest_module, "_first_fields", lambda data: None)
 
 
@@ -176,7 +188,7 @@ def test_benchmark_raw_log_is_read_with_no_fallback(tmp_path):
     path = tmp_path / "raw.csv"
     path.write_text("timestamp_unix\n" + "".join(f"{v // 10**6}.{v % 10**6:06d}\n"
                                                  for v in rows.tolist()))
-    with _loadtxt_only():
+    with _walker_only():
         expected = _outcome(path)
     with mock.patch.object(ingest_module, "_walk_first_fields", side_effect=AssertionError):
         got = _outcome(path)
@@ -207,10 +219,10 @@ def raw_logs(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(raw_logs())
-def test_raw_log_fast_path_reads_as_the_loadtxt_path(tmp_path_factory, text):
+def test_raw_log_fast_path_reads_as_the_line_walker(tmp_path_factory, text):
     path = tmp_path_factory.mktemp("raw") / "raw.csv"
     path.write_bytes(text.encode())
-    with _loadtxt_only():
+    with _walker_only():
         expected = _outcome(path)
     assert _outcome(path) == expected
 
@@ -219,9 +231,9 @@ def test_raw_log_fast_path_reads_as_the_loadtxt_path(tmp_path_factory, text):
     "5\r,a\n6\n", "5,a\rb\n6\n", "5\n\r\n6\n", "5\r", "5\n\r", "1.5\r\n2.5", " 5\n", "5 \n",
     "\t5\n", "5\t\n", "5\x00\n", ",5\n", ".5\n", "5.\n", "5..5\n", "0.1,0.2\n0.3\n",
     "t\n12345678901234567\n1\n", "t\n0.000000000000000000001\n1\n", "5,\xff\n6\n"])
-def test_raw_log_edge_texts_read_as_the_loadtxt_path(tmp_path, text):
+def test_raw_log_edge_texts_read_as_the_line_walker(tmp_path, text):
     path = tmp_path / "raw.csv"
     path.write_bytes(text.encode("latin-1"))
-    with _loadtxt_only():
+    with _walker_only():
         expected = _outcome(path)
     assert _outcome(path) == expected

@@ -309,8 +309,7 @@ def test_tree_deletion_containment_smoke():
         seq = simulate_branching(p, k * delta, seed=10_000 + i, warmup=0.0)
         series = bin_events(seq, delta)
         stats = sample_stats(series)
-        sizes = tree_sizes(seq)
-        eligible = np.flatnonzero(sizes.sizes <= b)
+        eligible = np.flatnonzero(tree_sizes(seq) <= b)
         tree_ids = np.unique(seq.tree_id)[eligible]
         victim = tree_ids[rng.integers(0, tree_ids.size)]
         keep = seq.tree_id != victim

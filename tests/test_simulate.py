@@ -72,9 +72,9 @@ def test_thinning_poisson_limit():
 
 def test_branching_poisson_limit_trees_are_singletons():
     seq = simulate_branching(HawkesParams(1.0, 1e-9), 5000.0, seed=5, warmup=0.0)
-    stats = tree_sizes(seq)
-    assert stats.sizes.max() == 1
-    assert stats.num_trees == len(seq)
+    sizes = tree_sizes(seq)
+    assert sizes.max() == 1
+    assert sizes.size == len(seq)
 
 
 def test_branching_offspring_mean():

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from dphawkes import cli
-from dphawkes.branching import TreeStats, read_tree_csv, write_tree_csv
+from dphawkes.branching import read_tree_csv, write_tree_csv
 from dphawkes.complexity import ComplexityReport, read_complexity_csv, write_complexity_csv
 from dphawkes.estimator import EstimateResult
 from dphawkes.experiments import (SweepRecord, ThresholdCell, read_summary_csv,
@@ -49,7 +49,7 @@ PRIVATE_RESULT = EstimateResult(
 PLAIN_RESULT = EstimateResult(
     mu_hat=1.0, alpha_hat=0.25, eta_hat=5.0, sigma_sq_hat=9.5, converged=True,
     iterations=3, residual=0.0, boundary="lower")
-TREES = TreeStats(sizes=np.array([1, 3, 1, 7, 1, 3]), num_trees=6, horizon=10.0)
+TREES = np.array([1, 3, 1, 7, 1, 3])
 REPORT = ComplexityReport(required_T=2.5e7, binding_term="variance",
                           all_terms=[("mean", THIRD), ("variance", 2.5e7),
                                      ("noise", math.inf)])
