@@ -17,7 +17,6 @@ from .counts import MAX_BINS
 from .errors import ConfigError, PreconditionViolated
 from .hawkes import HawkesParams, ParamBounds
 from .privacy import PrivacyBudget, SensitivitySpec
-from .rng import task_rng
 from .simulate import branching_counts
 from .tables import read_table, write_table
 
@@ -222,7 +221,8 @@ def eta4_monte_carlo(params: HawkesParams, delta: float, num_bins: int,
     n_series = math.ceil(num_bins / bins_per)
     block_means = np.empty(n_series)
     for s in range(n_series):
-        counts = branching_counts(params, bins_per * delta, task_rng(seed, s), delta).counts
+        counts = branching_counts(params, bins_per * delta, np.random.default_rng([seed, s]),
+                                  delta).counts
         block_means[s] = float(np.mean((counts - eta) ** 4))
     value = float(block_means.mean())
     se = float(block_means.std(ddof=1) / math.sqrt(n_series))

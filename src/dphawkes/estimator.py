@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .counts import CountSeries, sample_stats
-from .errors import NoCountedEvents, NonConvergence
+from .errors import ConfigError, NoCountedEvents, NonConvergence
 from .hawkes import HawkesParams, ParamBounds, bin_variance, theoretical_moments
 
 # Fixed solver tolerances: far below Monte-Carlo noise at every relevant scale.
@@ -46,8 +46,9 @@ def invert_moments(eta_hat: float, sigma_sq_hat: float, delta: float,
     """Find alpha_hat in the prior bracket, then mu_hat from the mean equation.
 
     Raises NonConvergence when the target variance is not reachable for any
-    alpha in the bracket (a moment that is not finite, or a privatized
-    variance at or below the mean); the failure is never silently clamped.
+    alpha in the bracket (a moment that is not finite, a rate mu that is not a
+    positive finite float, or a privatized variance at or below the mean); the
+    failure is never silently clamped.
     """
     if not (math.isfinite(eta_hat) and math.isfinite(sigma_sq_hat)):
         raise NonConvergence(f"moments {eta_hat:.6g} and {sigma_sq_hat:.6g} are not finite")
@@ -63,8 +64,12 @@ def invert_moments(eta_hat: float, sigma_sq_hat: float, delta: float,
         return bin_variance(eta_hat * (1.0 - alpha) / delta, alpha, delta) - sigma_sq_hat
 
     # mu(alpha) falls with alpha, so valid params at both ends make every step's valid.
-    g_lo, g_hi = (theoretical_moments(HawkesParams(eta_hat * (1.0 - a) / delta, a),
-                                      delta).sigma_sq - sigma_sq_hat for a in (lo, hi))
+    try:
+        g_lo, g_hi = (theoretical_moments(HawkesParams(eta_hat * (1.0 - a) / delta, a),
+                                          delta).sigma_sq - sigma_sq_hat for a in (lo, hi))
+    except ConfigError as exc:  # the rate eta_hat * (1 - alpha) / delta left float range
+        raise NonConvergence(f"moments {eta_hat:.6g} and {sigma_sq_hat:.6g} at delta "
+                             f"{delta:.6g}: {exc}") from None
     tol = _RESIDUAL_RTOL * abs(sigma_sq_hat)
 
     def result(alpha: float, iters: int, res: float, boundary: str | None) -> EstimateResult:

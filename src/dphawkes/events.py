@@ -24,8 +24,7 @@ _POW10 = 10 ** np.arange(19, dtype=np.int64)
 _POW10U = 10 ** np.arange(20, dtype=np.uint64)
 _POW10F = 10.0 ** np.arange(22)  # exact doubles; to 21: the log10 estimate may be one low
 _NOT_DIGIT = 0x8080808080808080  # the bits _digits sets in acc for a byte that is not a digit
-_READ_ROWS = 1 << 13
-_SCAN = 1 << 20  # bytes scanned at a time for line ends, commas and dots
+_CHUNK = 1 << 18  # a read block ends at the first line end this many bytes on (line_marks)
 # _KEEP[n + 16]: the last clip(n, 0, 8) bytes of a little-endian word
 _KEEP = np.array([2**64 - 2**(64 - 8 * min(max(n, 0), 8)) for n in range(-16, 17)], np.uint64)
 
@@ -246,64 +245,65 @@ def _fast_rows(data: bytes):
     """The (t, g, p) below the header in numpy blocks (g = p = None if unlabeled),
     or None outside this grammar: lines "t,g,p" ended by \\n or \\r\\n, t as
     decimal_fields reads it, ids of at most 16 ASCII digits."""
+    if not data.endswith(b"\n"):
+        return None
     buf = np.frombuffer(data, np.uint8)
-    at = marks(buf)
-    kind = buf[at]
-    nl, ci = at[kind == 10], np.flatnonzero(kind == 44)[2:]  # after the header's commas
-    n = nl.size - 1
-    if n < 1 or nl[-1] != buf.size - 1 or ci.size != 2 * n:
-        return None
-    c0, c1, start, end = at[ci[0::2]], at[ci[1::2]], nl[:-1] + 1, nl[1:]
-    # The byte below "0" before t's comma splits t if a dot; a dot elsewhere fails a digit check.
-    dot = np.where(kind[ci[0::2] - 1] == 46, at[ci[0::2] - 1], c0)
-    del at, kind, ci
-    if np.any(c1 > end) or np.any(c0[1:] < end[:-1]):  # two commas on each line
-        return None
-    end = end - (buf[end - 1] == 13)
     words = np.ndarray((buf.size - 7,), "<u8", data, strides=(1,))  # words[i]: bytes i..i+7
-    t = decimal_fields(words, start, dot, c0)
-    if t is None:
-        return None
-    g, p = np.empty(n, np.int64), np.empty(n, np.int64)
-    for lo in range(0, n, _READ_ROWS):
-        b = slice(lo, lo + _READ_ROWS)
-        gl, pl = c1[b] - c0[b] - 1, end[b] - c1[b] - 1
-        if max(gl.max(), pl.max()) > 16:
+    t, g, p = [], [], []
+    for at, kind in line_marks(data, data.find(b"\n") + 1):
+        nl, ci = at[kind == 10], np.flatnonzero(kind == 44)
+        if ci.size != 2 * (nl.size - 1):
+            return None
+        c0, c1, start, end = at[ci[0::2]], at[ci[1::2]], nl[:-1] + 1, nl[1:]
+        # The byte below "0" before t's comma splits t if a dot; a dot elsewhere fails a digit check.
+        dot = np.where(kind[ci[0::2] - 1] == 46, at[ci[0::2] - 1], c0)
+        if np.any(c1 > end) or np.any(c0[1:] < end[:-1]):  # two commas on each line
+            return None
+        end = end - (buf[end - 1] == 13)
+        gl, pl = c1 - c0 - 1, end - c1 - 1
+        t.append(decimal_fields(words, start, dot, c0))
+        if t[-1] is None or max(gl.max(), pl.max()) > 16:
             return None
         acc = np.zeros(gl.size, np.uint64)
-        g[b] = _digits(words, c1[b], gl, acc).view(np.int64) - (gl == 0)  # empty is -1
-        p[b] = _digits(words, end[b], pl, acc).view(np.int64) - (pl == 0)
+        g.append(_digits(words, c1, gl, acc).view(np.int64) - (gl == 0))  # empty is -1
+        p.append(_digits(words, end, pl, acc).view(np.int64) - (pl == 0))
         if np.any(acc & _NOT_DIGIT):
             return None
+    if not t:
+        return None
+    t, g, p = map(np.concatenate, (t, g, p))
     return (t, g, p) if np.any(g != -1) else (t, None, None)
 
 
-def marks(buf: np.ndarray) -> np.ndarray:
-    """The positions of the bytes below "0" (line ends, commas, dots), scanned a block at a time."""
-    pos = np.int32 if buf.size < 2**31 else np.int64  # half the memory of int64 positions
-    return np.concatenate([np.flatnonzero(buf[i:i + _SCAN] < 48).astype(pos) + i
-                           for i in range(0, buf.size, _SCAN)])
+def line_marks(data: bytes, lo: int):
+    """(at, kind) for each block of whole lines of data from lo: the positions and values of
+    its bytes below "0" (line ends, commas, dots). A block runs from the line end before lo,
+    or the one that ended the block before, to the first line end _CHUNK or more bytes on
+    (or data's last byte, which must be a line end)."""
+    buf = np.frombuffer(data, np.uint8)
+    lo = data.rindex(b"\n", 0, lo)
+    while lo < buf.size - 1:
+        hi = data.index(b"\n", min(lo + _CHUNK, buf.size - 1))
+        at = np.flatnonzero(buf[lo:hi + 1] < 48) + lo
+        yield at, buf[at]
+        lo = hi
 
 
 def decimal_fields(words, start, dot, end) -> np.ndarray | None:
     """The doubles nearest the fields from start to end, or None unless each is ASCII
     digits, 1 to 16 before dot (= end without a "."), 20 at most after it and 17 at most
     significant. words[i], bytes i..i+7 as a uint64, is read from 24 before each start."""
-    t = np.empty(start.size)
-    for lo in range(0, t.size, _READ_ROWS):
-        b = slice(lo, lo + _READ_ROWS)
-        il, f = dot[b] - start[b], np.maximum(end[b] - dot[b] - 1, 0)
-        if il.min() < 1 or il.max() > 16 or f.max() > 20:
-            return None
-        acc = np.zeros(il.size, np.uint64)
-        whole = _digits(words, dot[b], il, acc)
-        frac = _digits(words, end[b], np.minimum(f, 16), acc)
-        top = _digits(words, end[b] - 16, np.maximum(f - 16, 0), acc)
-        # Without its dot the field is w < 10**17: at most 17 significant digits.
-        if np.any((whole >= _POW10U[np.maximum(17 - f, 0)]) | (top >= 10) | (acc & _NOT_DIGIT)):
-            return None
-        t[b] = _nearest_double(whole * _POW10U[np.minimum(f, 19)] + top * 10**16 + frac, f)
-    return t
+    il, f = dot - start, np.maximum(end - dot - 1, 0)
+    if il.min(initial=1) < 1 or il.max(initial=1) > 16 or f.max(initial=0) > 20:
+        return None
+    acc = np.zeros(il.size, np.uint64)
+    whole = _digits(words, dot, il, acc)
+    frac = _digits(words, end, np.minimum(f, 16), acc)
+    top = _digits(words, end - 16, np.maximum(f - 16, 0), acc)
+    # Without its dot the field is w < 10**17: at most 17 significant digits.
+    if np.any((whole >= _POW10U[np.maximum(17 - f, 0)]) | (top >= 10) | (acc & _NOT_DIGIT)):
+        return None
+    return _nearest_double(whole * _POW10U[np.minimum(f, 19)] + top * 10**16 + frac, f)
 
 
 def _digits(words, end, n, acc) -> np.ndarray:

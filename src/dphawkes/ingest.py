@@ -8,7 +8,7 @@ from array import array
 import numpy as np
 
 from .errors import ConfigError
-from .events import EventSequence, decimal_fields, marks, parse_field, text_lines
+from .events import EventSequence, decimal_fields, line_marks, parse_field, text_lines
 
 
 def ingest_timestamps(path, time_unit_scale: float = 1.0) -> EventSequence:
@@ -58,21 +58,23 @@ def _first_fields(data: bytes) -> np.ndarray | None:
     """The first field of each non-blank line, read by events.decimal_fields; None
     outside this grammar: the field ends at a "," or the line's end, \\n or \\r\\n,
     and holds no byte below "0" but one "." at most; no "\\r" stands alone."""
-    buf = np.frombuffer(b"".join((b"\n" * 24, data, b"\n")), np.uint8)  # no read before buf
-    at = marks(buf)
-    kind = buf[at]
-    if np.any(buf[at[kind == 13] + 1] != 10):
-        return None
-    line = np.flatnonzero(kind == 10)[:-1].astype(at.dtype) + 1  # indexing at: each line's
-    start, dot = at[line - 1] + 1, at[line]  # first byte below "0" ends the field, or the next
-    end = at[line + (kind[line] == 46)]  # if it is a dot
-    del at, kind, line
-    if not np.all(np.isin(buf[end], (10, 13, 44))):
-        return None
-    keep = (end > start) | (buf[end] == 44)  # blank lines are skipped
-    if not keep.all():
-        start, dot, end = start[keep], dot[keep], end[keep]
-    return decimal_fields(np.ndarray((buf.size - 7,), "<u8", buf, strides=(1,)), start, dot, end)
+    data = b"".join((b"\n" * 24, data, b"\n"))  # no read before the first line
+    buf = np.frombuffer(data, np.uint8)
+    words = np.ndarray((buf.size - 7,), "<u8", data, strides=(1,))
+    parts = []
+    for at, kind in line_marks(data, 24):
+        if np.any(buf[at[kind == 13] + 1] != 10):
+            return None
+        line = np.flatnonzero(kind == 10)[:-1] + 1  # indexing at: each line's
+        start, dot = at[line - 1] + 1, at[line]  # first byte below "0" ends the field, or the next
+        end = at[line + (kind[line] == 46)]  # if it is a dot
+        if not np.all(np.isin(buf[end], (10, 13, 44))):
+            return None
+        keep = (end > start) | (buf[end] == 44)  # blank lines are skipped
+        parts.append(decimal_fields(words, start[keep], dot[keep], end[keep]))
+        if parts[-1] is None:
+            return None
+    return np.concatenate(parts)
 
 
 def _walk_first_fields(path, data: bytes, first_line: int) -> np.ndarray:

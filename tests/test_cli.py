@@ -178,6 +178,20 @@ def test_estimate_with_no_counted_event_fails_like_every_estimate(tmp_path, caps
     assert _result_row(out)["converged"] == "0"
 
 
+@pytest.mark.parametrize("command", [["estimate"], ["privatize", "--epsilon", "1", "--seed", "1"]])
+def test_a_rate_beyond_float_range_is_an_estimation_failure(tmp_path, capsys, command):
+    # eta_hat / delta overflows at delta = 1e-307: exit 4, not a configuration error
+    path = tmp_path / "flat.csv"
+    path.write_text("timestamp,tree_id,parent_idx\n"
+                    + "".join(f"{(i + 1) * 1e-309!r},,\n" for i in range(3000)))
+    code = run(command[0], str(path), "--delta_mode", "1e-307", *command[1:],
+               "--out", str(tmp_path / "r.csv"))
+    assert code == EXIT_ESTIMATION
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"estimation failed: {path}: moments ")
+    assert line.endswith("mu must be positive and finite, got inf")
+
+
 def test_bin_count_past_float_range_is_an_input_error(tmp_path, capsys):
     # horizon / delta overflows to inf, which int() cannot take (the flag table
     # tries --delta_mode 1e-320 on every binning command)

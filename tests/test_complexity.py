@@ -377,6 +377,12 @@ def test_eta4_golden_regression():
     assert abs(est.value - 18212.07271) < 3 * 125.8600551789477
 
 
+def test_eta4_seeded_output_is_pinned():
+    # Series s of a seed-7 estimate draws from the key [7, s]: these bits are that stream's.
+    est = eta4_monte_carlo(HawkesParams(1.0, 0.5), 10.0, 10_000, seed=7)
+    assert (est.value, est.std_error, est.num_bins) == (18421.3057, 1041.8478724558315, 10_000)
+
+
 def test_complexity_csv(tmp_path):
     report = required_T_nonprivate(inputs_a())
     path = tmp_path / "report.csv"

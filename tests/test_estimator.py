@@ -1,10 +1,11 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dphawkes import (ConfigError, CountSeries, HawkesParams, NonConvergence, ParamBounds,
+from dphawkes import (CountSeries, HawkesParams, NonConvergence, ParamBounds,
                       bin_events, branching_counts, estimate, invert_moments,
                       simulate_branching, theoretical_moments)
 
@@ -138,8 +139,13 @@ def test_invert_builds_params_only_at_the_bracket_ends(monkeypatch):
 
 
 @pytest.mark.parametrize("eta, var, delta, got", [(1e308, 1.5e308, 1e-10, "inf"),
-                                                  (5e-324, 1e-323, 1e300, "0.0")])
+                                                  (5e-324, 1e-323, 1e300, "0.0"),
+                                                  (1e300, 2e300, 1e-10, "inf"),
+                                                  (5e-324, 1e-323, 10.0, "0.0")])
 def test_invert_refuses_a_mean_out_of_float_range(eta, var, delta, got):
-    # mu(alpha) = eta*(1-alpha)/delta overflows or underflows at the bracket ends
-    with pytest.raises(ConfigError, match=rf"^mu must be positive and finite, got {got}$"):
+    # mu(alpha) = eta*(1-alpha)/delta overflows or underflows at the bracket ends: no
+    # estimate, so a sweep records converged=0 and the CLI exits 4
+    where = re.escape(f"moments {eta:.6g} and {var:.6g} at delta {delta:.6g}")
+    with pytest.raises(NonConvergence, match=rf"^{where}: mu must be positive and finite, "
+                                             rf"got {got}$"):
         invert_moments(eta, var, delta, PAPER)

@@ -165,20 +165,60 @@ def test_csv_fast_path_reads_as_the_row_walker(tmp_path_factory, text):
     _same_as_row_walker(path)
 
 
-@pytest.mark.parametrize("t", [
+_EDGE_TIMES = [
     "0", "0.0", "5.", ".5", "00.5", "-0", "1e5", "0.1", "0.10000000000000001", "1.5\t", "1:5",
     "1/5", "9999999999999998", "10000000000000000", "0.00010000000000000001",
     "0.000099999999999999991",
     # digit strings whose integer value wraps past 2**64
     "0.18446744073709551616", "18446744073709551616", "1844674407370955.1616",
-    "0.36893488147419103232"])
-@pytest.mark.parametrize("ids", [",,", ",0,", ",00,7", ",0000000000000000,", ",1,/", ",:,",
-                                 ",00000000000000000,", ",1234567890123456,",
-                                 ",12345678901234567,"])
+    "0.36893488147419103232"]
+_EDGE_IDS = [",,", ",0,", ",00,7", ",0000000000000000,", ",1,/", ",:,", ",00000000000000000,",
+             ",1234567890123456,", ",12345678901234567,"]
+
+
+@pytest.mark.parametrize("t", _EDGE_TIMES)
+@pytest.mark.parametrize("ids", _EDGE_IDS)
 def test_csv_fast_path_reads_edge_fields_as_the_row_walker(tmp_path, t, ids):
     path = tmp_path / "ev.csv"
     path.write_text(f"{HEADER}\n{t}{ids}\n")
     _same_as_row_walker(path)
+
+
+# --- block edges: with _CHUNK a few bytes, every line end also ends a read block ---
+
+@settings(max_examples=150, deadline=None)
+@given(events_texts(), st.integers(1, 40))
+def test_csv_fast_path_reads_as_the_row_walker_in_small_blocks(tmp_path_factory, text, chunk):
+    path = tmp_path_factory.mktemp("blocks") / "ev.csv"
+    path.write_bytes(text.encode())
+    with mock.patch.object(events_module, "_CHUNK", chunk):
+        _same_as_row_walker(path)
+
+
+@pytest.mark.parametrize("chunk", [1, 20])
+def test_csv_edge_fields_read_as_the_row_walker_in_small_blocks(tmp_path, chunk):
+    # Each edge row sits between two rows of its own label form, in blocks of its own.
+    path = tmp_path / "ev.csv"
+    with mock.patch.object(events_module, "_CHUNK", chunk):
+        for t in _EDGE_TIMES:
+            for ids in _EDGE_IDS:
+                path.write_text(f"{HEADER}\n0{ids}\n{t}{ids}\n9999999999999999.5{ids}\n")
+                _same_as_row_walker(path)
+
+
+def test_a_refused_row_in_a_later_block_is_named_by_its_row(tmp_path):
+    rows = [f"{i}.5,," for i in range(60_000)]
+    rows[50_000] = "5_0000.5,,"
+    path = tmp_path / "ev.csv"
+    path.write_text("\n".join([HEADER, *rows]) + "\n")
+    assert path.stat().st_size > 2 * events_module._CHUNK  # the row is in the third block
+    with pytest.raises(ValueError, match=r"ev\.csv: row 50001: could not convert "
+                                         r"string to float: '5_0000\.5'$"):
+        read_events_csv(path)
+    rows[50_000] = "50000.5,,"
+    path.write_text("\n".join([HEADER, *rows]) + "\n")
+    with mock.patch.object(events_module, "_walk_rows", _refuse_fallback):
+        assert read_events_csv(path).timestamps.tolist() == [i + 0.5 for i in range(60_000)]
 
 
 # --- value types own their arrays -------------------------------------------

@@ -14,7 +14,7 @@ from dphawkes.counts import bin_times
 from dphawkes.experiments import (BASELINE_B_MODE, read_sweep_csv, run_sweep,
                                   run_time_to_threshold, summarize_sweep,
                                   write_sweep_csv, SWEEP_CSV_HEADER)
-from dphawkes.rng import derived_seed, task_rng
+from dphawkes.rng import derived_seed
 
 
 def small_config(**kw):
@@ -71,7 +71,7 @@ def test_seed_derivation_is_pinned():
     # this key; changing it changes all seeded outputs.
     assert derived_seed(12345, 0, 0) == 2688385916
     assert derived_seed(7, 1, 2, 3, 4) == 3620624238
-    assert task_rng(7, 1).random() == 0.7701409510034741
+    assert np.random.default_rng([7, 1]).random() == 0.7701409510034741  # eta4's key
     records = run_sweep(small_config(repetitions=1, epsilons=(1.0,), b_values=("10",)))
     assert [r.seed for r in records] == [derived_seed(77, 1, 0, 0, 0), derived_seed(77, 0, 0)]
 

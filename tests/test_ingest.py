@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dphawkes import ConfigError, bin_events, ingest_timestamps
+from dphawkes import events as events_module
 from dphawkes import ingest as ingest_module
 
 
@@ -222,18 +223,70 @@ def raw_logs(draw):
 def test_raw_log_fast_path_reads_as_the_line_walker(tmp_path_factory, text):
     path = tmp_path_factory.mktemp("raw") / "raw.csv"
     path.write_bytes(text.encode())
+    _same_as_line_walker(path)
+
+
+_EDGE_TEXTS = [
+    "5\r,a\n6\n", "5,a\rb\n6\n", "5\n\r\n6\n", "5\r", "5\n\r", "1.5\r\n2.5", " 5\n", "5 \n",
+    "\t5\n", "5\t\n", "5\x00\n", ",5\n", ".5\n", "5.\n", "5..5\n", "0.1,0.2\n0.3\n",
+    "t\n12345678901234567\n1\n", "t\n0.000000000000000000001\n1\n", "5,\xff\n6\n"]
+
+
+def _same_as_line_walker(path):
     with _walker_only():
         expected = _outcome(path)
     assert _outcome(path) == expected
 
 
-@pytest.mark.parametrize("text", [
-    "5\r,a\n6\n", "5,a\rb\n6\n", "5\n\r\n6\n", "5\r", "5\n\r", "1.5\r\n2.5", " 5\n", "5 \n",
-    "\t5\n", "5\t\n", "5\x00\n", ",5\n", ".5\n", "5.\n", "5..5\n", "0.1,0.2\n0.3\n",
-    "t\n12345678901234567\n1\n", "t\n0.000000000000000000001\n1\n", "5,\xff\n6\n"])
+@pytest.mark.parametrize("text", _EDGE_TEXTS)
 def test_raw_log_edge_texts_read_as_the_line_walker(tmp_path, text):
     path = tmp_path / "raw.csv"
     path.write_bytes(text.encode("latin-1"))
-    with _walker_only():
-        expected = _outcome(path)
-    assert _outcome(path) == expected
+    _same_as_line_walker(path)
+
+
+# --- block edges: with _CHUNK a few bytes, every line end also ends a read block ---
+
+@settings(max_examples=150, deadline=None)
+@given(raw_logs(), st.integers(1, 24))
+def test_raw_log_fast_path_reads_as_the_line_walker_in_small_blocks(tmp_path_factory, text,
+                                                                     chunk):
+    path = tmp_path_factory.mktemp("blocks") / "raw.csv"
+    path.write_bytes(text.encode())
+    with mock.patch.object(events_module, "_CHUNK", chunk):
+        _same_as_line_walker(path)
+
+
+@pytest.mark.parametrize("chunk", [1, 3])
+def test_raw_log_edge_texts_read_as_the_line_walker_in_small_blocks(tmp_path, chunk):
+    path = tmp_path / "raw.csv"
+    with mock.patch.object(events_module, "_CHUNK", chunk):
+        for text in _EDGE_TEXTS:
+            path.write_bytes(text.encode("latin-1"))
+            _same_as_line_walker(path)
+
+
+@pytest.mark.parametrize("chunk", [1, 4, 6])
+def test_lone_carriage_return_at_a_block_edge(tmp_path, chunk):
+    # A block ends at the first line end chunk bytes on: with 4-byte lines "k.5\n" each
+    # line is a block at chunk 1 and 4, each pair of lines at 6; a "\r" goes in every place.
+    text = "t\n" + "".join(f"{i}.5\n" for i in range(1, 7))
+    path = tmp_path / "raw.csv"
+    with mock.patch.object(events_module, "_CHUNK", chunk):
+        for k in range(2, len(text) + 1):
+            path.write_bytes((text[:k] + "\r" + text[k:]).encode())
+            _same_as_line_walker(path)
+        path.write_bytes(b"t\n1.5\n\r2.5\n3.5\n")  # "\r" opens the block of line 3
+        with pytest.raises(ValueError, match=r"timestamps at lines 3$"):
+            ingest_timestamps(path)
+
+
+def test_a_refused_line_in_a_later_block_is_named_by_its_line(tmp_path):
+    lines = [f"{i}.5" for i in range(80_000)]
+    lines[70_000] = "7_0000.5"
+    path = tmp_path / "raw.csv"
+    path.write_text("\n".join(["timestamp", *lines]) + "\n")
+    assert path.stat().st_size > 2 * events_module._CHUNK  # the line is in the third block
+    with pytest.raises(ValueError, match=r"raw\.csv: unparsable or non-finite timestamps "
+                                         r"at lines 70002$"):
+        ingest_timestamps(path)

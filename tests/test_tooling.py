@@ -190,3 +190,30 @@ def test_each_reader_has_one_numpy_path_and_one_line_walker():
         assert not [call for call in ast.walk(tree) if isinstance(call, ast.Call)
                     and getattr(call.func, "attr", None) == "split"
                     and any(getattr(arg, "value", None) in ("\n", b"\n") for arg in call.args)]
+
+
+def test_numpy_readers_loop_once_over_line_marks():
+    # Each numpy path is one loop over events.line_marks, the one scan for the bytes
+    # below "0" (48); decimal_fields converts what it is given, with no block loop.
+    from dphawkes import events, rng
+    assert not {"marks", "_SCAN", "_READ_ROWS"} & set(vars(events))
+    assert not {"task_rng", "_task_key"} & set(vars(rng))
+
+    def functions(module):
+        tree = ast.parse((SRC / module).read_text())
+        return {fn.name: fn for fn in tree.body if isinstance(fn, ast.FunctionDef)}
+
+    def loops(fn):
+        return [node for node in ast.walk(fn)
+                if isinstance(node, (ast.For, ast.While, ast.comprehension))]
+
+    for module, numpy_path in (("events.py", "_fast_rows"), ("ingest.py", "_first_fields")):
+        (loop,) = loops(functions(module)[numpy_path])
+        assert getattr(loop.iter.func, "id", None) == "line_marks", module
+    assert not loops(functions("events.py")["decimal_fields"])
+    scans = {(path.name, fn.name) for path in SRC.glob("*.py")
+             for fn in ast.walk(ast.parse(path.read_text())) if isinstance(fn, ast.FunctionDef)
+             for node in ast.walk(fn) if isinstance(node, ast.Compare)
+             and isinstance(node.ops[0], ast.Lt)
+             and getattr(node.comparators[0], "value", None) == 48}
+    assert scans == {("events.py", "line_marks")}
