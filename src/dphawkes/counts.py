@@ -75,7 +75,8 @@ def bin_times(parts: Iterable[np.ndarray], horizon: float, delta: float) -> Coun
     """The bins of bin_events over timestamps given in parts, in any order.
 
     Times outside [0, K * delta) are not counted. The bin rule is checked
-    before the first part is read, so parts may be a lazy generator.
+    before the first part is read, so parts may be a lazy generator. Each part
+    is dropped here before the next is pulled.
 
     A time's bin is np.floor_divide(t, delta), bit for bit: a correctly
     rounded t / delta can cross an integer only by rounding up onto it, so the
@@ -86,16 +87,22 @@ def bin_times(parts: Iterable[np.ndarray], horizon: float, delta: float) -> Coun
     counts = np.zeros(k, dtype=np.int64)
     for part in parts:
         for lo in range(0, part.size, BIN_BLOCK):
-            ts = part[lo:lo + BIN_BLOCK]
-            ts = ts[(ts >= 0.0) & (ts < end)]
-            q = ts / delta
-            idx = q.astype(np.int64)
-            edge = idx == q
-            idx[edge] = np.floor_divide(ts[edge], delta)
-            first = idx.min(initial=k)  # count over the slice's own bins, not all k
-            c = np.bincount(idx - first)
-            counts[first:first + c.size] += c
+            _add_bins(counts, part[lo:lo + BIN_BLOCK], delta, end)
+        del part  # before the next one is drawn
     return CountSeries(counts=counts, delta=delta)
+
+
+def _add_bins(counts: np.ndarray, ts: np.ndarray, delta: float, end: float) -> None:
+    """Add the bins of the times ts to counts; its temporaries die on return."""
+    ts = ts[(ts >= 0.0) & (ts < end)]
+    q = ts / delta
+    idx = q.astype(np.int64)
+    edge = idx == q
+    idx[edge] = np.floor_divide(ts[edge], delta)
+    first = idx.min(initial=counts.size)  # count over the slice's own bins, not all k
+    idx -= first
+    c = np.bincount(idx)
+    counts[first:first + c.size] += c
 
 
 def sample_stats(series: CountSeries) -> SampleStats:

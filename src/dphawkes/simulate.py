@@ -13,6 +13,8 @@ branching generator's draws directly, for callers that keep only the counts.
 from __future__ import annotations
 
 import math
+from array import array
+from operator import itemgetter
 
 import numpy as np
 
@@ -23,7 +25,7 @@ from .hawkes import HawkesParams
 from .rng import as_generator
 
 # Largest expected event count (warmup included) a simulation may produce: a
-# run peaks at about 150 bytes per event, so 2e7 events take about 3 GB.
+# run peaks at about 48 bytes per event (README), so 2e7 events take about 1 GB.
 MAX_EXPECTED_EVENTS = 2e7
 
 # Uniforms thinning draws per Generator call. Each candidate takes a (gap,
@@ -64,7 +66,7 @@ def simulate_thinning(params: HawkesParams, horizon: float,
     rng = as_generator(seed)
     mu, alpha = params.mu, params.alpha
 
-    out: list[float] = []
+    out = array("d")  # 8 bytes per event, not a list's ~32
     t = -warmup
     s = 0.0  # sum of alpha * exp(-(t - t_i)) over accepted events
     while True:
@@ -96,20 +98,25 @@ def _generations(params: HawkesParams, horizon: float, rng: np.random.Generator,
     n parents draw a Poisson(alpha * n) total, then each child's parent
     uniformly, then the delays: n iid Poisson(alpha) counts are that total
     spread as a uniform multinomial. Parents are sorted so children stay in
-    parent order, which keeps simulate_branching's stable argsort fast.
+    parent order, which keeps simulate_branching's stable argsort fast. Each
+    step works in place and holds no generation but the one it draws from.
     """
     start = -warmup
     span = horizon - start
     n_imm = int(rng.poisson(params.mu * span))
-    times = start + span * rng.random(n_imm)
+    times = rng.random(n_imm)
+    times *= span
+    times += start
     times.sort()
     yield times, None
     while times.size:
         tot = int(rng.poisson(params.alpha * times.size))
         if tot == 0:
             return
-        parent = np.sort(rng.integers(0, times.size, tot))
-        times = times[parent] + rng.exponential(1.0, tot)
+        parent = rng.integers(0, times.size, tot, dtype=np.int32)  # int64's values and draws
+        parent.sort()
+        times = times[parent]
+        times += rng.exponential(1.0, tot)
         keep = times <= horizon
         times = times[keep]
         yield times, parent[keep] if with_parents else None
@@ -126,32 +133,38 @@ def simulate_branching(params: HawkesParams, horizon: float,
     later, so truncation is exact for the observation window).
     """
     warmup = _check_sim_args(params, horizon, warmup)
-    times_parts: list[np.ndarray] = []
-    tree_parts: list[np.ndarray] = []
-    parent_parts: list[np.ndarray] = []
+    times, tree, parent = _labeled_events(params, horizon, as_generator(seed), warmup)
+    return EventSequence(times, horizon, tree, parent)
+
+
+def _labeled_events(params: HawkesParams, horizon: float, rng: np.random.Generator,
+                    warmup: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """simulate_branching's times, tree ids and parent indices. Each array is
+    rebound once its successor is built; the rest die before validation."""
+    times, tree, parent = [], [], []  # one part per generation, then joined
     total = 0
-    for times, parent in _generations(params, horizon, as_generator(seed), warmup, True):
-        if parent is None:  # immigrants: each roots its own tree
-            tree_parts.append(np.arange(times.size, dtype=np.int64))
-            parent_parts.append(np.full(times.size, -1, dtype=np.int64))
+    for gen, gen_parent in _generations(params, horizon, rng, warmup, True):
+        if gen_parent is None:  # immigrants: each roots its own tree
+            tree.append(np.arange(gen.size, dtype=np.int64))
+            parent.append(np.full(gen.size, -1, dtype=np.int64))
         else:
-            tree_parts.append(tree_parts[-1][parent])
-            parent_parts.append(total - times_parts[-1].size + parent)
-        times_parts.append(times)
-        total += times.size
+            tree.append(tree[-1][gen_parent])
+            # int64 offsets: an int32 array plus a Python int stays int32
+            parent.append(np.add(gen_parent, total - times[-1].size, dtype=np.int64))
+        times.append(gen)
+        total += gen.size
+    times = np.concatenate(times)  # rebinding frees the parts
+    tree = np.concatenate(tree)
+    parent = np.concatenate(parent)
 
-    times = np.concatenate(times_parts)
-    tree = np.concatenate(tree_parts)
-    parent = np.concatenate(parent_parts)
-
-    kept = np.flatnonzero(times >= 0.0)
-    order = np.argsort(times[kept], kind="stable")
-    out_idx = kept[order]
-    pos = np.full(total, -1, dtype=np.int64)
-    pos[out_idx] = np.arange(out_idx.size)
-    pg = parent[out_idx]
-    out_parent = np.where(pg >= 0, pos[np.maximum(pg, 0)], -1)
-    return EventSequence(times[out_idx], horizon, tree[out_idx], out_parent)
+    # The events at or after 0 in stable time order: the pre-zero ones sort first.
+    order = np.argsort(times, kind="stable")[np.count_nonzero(times < 0.0):]
+    times = times[order]
+    tree = tree[order]
+    parent = parent[order]
+    pos = np.full(total + 1, -1, dtype=np.int64)  # pos[-1] = -1 maps "no parent"
+    pos[order] = np.arange(order.size)
+    return times, tree, pos[parent]
 
 
 def branching_counts(params: HawkesParams, horizon: float,
@@ -166,4 +179,4 @@ def branching_counts(params: HawkesParams, horizon: float,
     """
     warmup = _check_sim_args(params, horizon, warmup)
     gens = _generations(params, horizon, as_generator(seed), warmup, False)
-    return bin_times((times for times, _ in gens), horizon, delta)
+    return bin_times(map(itemgetter(0), gens), horizon, delta)  # map keeps no generation

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -227,3 +228,60 @@ def test_branching_counts_refuse_what_the_labeled_path_refuses(horizon, delta, w
         branching_counts(p, horizon, 1, delta, warmup)
     assert type(counts.value) is type(labeled.value)
     assert str(counts.value) == str(labeled.value)
+
+
+# --- the sampler's memory -----------------------------------------------------
+
+@pytest.mark.parametrize("n", [1, 2, 3, 2**16 - 1, 2**16 + 1, 2**24 + 1, 2**31 - 1, 2**31])
+@pytest.mark.parametrize("size", [0, 1, 2, 1001])
+@pytest.mark.parametrize("buffered", [False, True])
+def test_int32_parent_draws_equal_int64_draws(n, size, buffered):
+    """_generations draws parent indices as int32: the values and the
+    generator's state after the draw (its buffered 32-bit half included) must
+    be those of the int64 draw that fixed the seeded outputs."""
+    a, b = np.random.default_rng(11), np.random.default_rng(11)
+    if buffered:  # leave half of a 64-bit word waiting in both generators
+        a.integers(0, 5, 1, dtype=np.int32)
+        b.integers(0, 5, 1, dtype=np.int32)
+    got = a.integers(0, n, size, dtype=np.int32)
+    want = b.integers(0, n, size)
+    assert got.dtype == np.int32
+    np.testing.assert_array_equal(got, want)
+    assert a.bit_generator.state == b.bit_generator.state
+    assert a.random() == b.random()
+
+
+def test_event_cap_keeps_parent_indices_within_int32():
+    # A generation holds at most the events of a run, and a run's Poisson
+    # total stays within a few standard deviations of the cap's 2e7.
+    assert 100 * MAX_EXPECTED_EVENTS < 2**31
+
+
+def _traced_peak(call) -> int:
+    """Bytes that tracemalloc (which sees numpy's buffers) traces at the peak of call()."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+# Peak bytes per expected event: measured (numpy 2.4.6) plus a margin. A caller
+# that keeps the last generation while the next is drawn crosses the first
+# bound, int64 parent indices the second, and part lists or sort arrays kept
+# alive through validation the third.
+@pytest.mark.parametrize("sample,horizon,bound", [
+    pytest.param(lambda p, t: branching_counts(p, t, 7, 10.0), 2e5, 9.5,  # 8.7 measured
+                 id="branching_counts"),
+    pytest.param(lambda p, t: branching_counts(p, t, 7, 10.0), 1e6, 8.0,  # 7.4 measured
+                 id="branching_counts_1e6"),
+    pytest.param(lambda p, t: simulate_branching(p, t, 7), 1e5, 60.0,  # 48.1 measured
+                 id="simulate_branching"),
+])
+def test_branching_peak_memory_per_expected_event(sample, horizon, bound):
+    p = HawkesParams(1.0, 0.5)
+    sample(p, 50.0)  # numpy's lazy imports stay out of the trace
+    expected = p.stationary_rate * (horizon + default_warmup(p.alpha))
+    assert _traced_peak(lambda: sample(p, horizon)) / expected < bound
