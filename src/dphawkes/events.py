@@ -20,13 +20,16 @@ _BLOCK_ROWS = 1 << 16
 # positional notation) and every int64 id.
 _DIGITS4 = np.stack(np.meshgrid(*[np.arange(48, 58, dtype=np.uint8)] * 4, indexing="ij"),
                     axis=-1).view(np.uint32).ravel()  # b"0000" .. b"9999"
+# trailing zeros and digit counts of 0 .. 9999 (4 and 1 for 0), from the strings
+_ZEROS4 = (_DIGITS4.view(np.uint8).reshape(-1, 4)[:, ::-1] == 48).cumprod(1).sum(1)
+_NDIGITS4 = np.maximum(4 - (_DIGITS4.view(np.uint8).reshape(-1, 4) == 48).cumprod(1).sum(1), 1)
 _POW10 = 10 ** np.arange(19, dtype=np.int64)
 _POW10U = 10 ** np.arange(20, dtype=np.uint64)
 _POW10F = 10.0 ** np.arange(22)  # exact doubles; to 21: the log10 estimate may be one low
 _NOT_DIGIT = 0x8080808080808080  # the bits _digits sets in acc for a byte that is not a digit
 _CHUNK = 1 << 18  # a read block ends at the first line end this many bytes on (line_marks)
 # _KEEP[n + 16]: the last clip(n, 0, 8) bytes of a little-endian word
-_KEEP = np.array([2**64 - 2**(64 - 8 * min(max(n, 0), 8)) for n in range(-16, 17)], np.uint64)
+_KEEP = np.array([2**64 - 2**(64 - 8 * min(max(n, 0), 8)) for n in range(-16, 20)], np.uint64)
 
 
 @dataclass(frozen=True)
@@ -55,8 +58,8 @@ class EventSequence:
         if ts.size:
             if not (ts[0] >= 0 and ts[-1] <= self.horizon):  # refuses nan too
                 raise ValueError("timestamps must lie in [0, horizon]")
-            if not np.all(np.diff(ts) > 0):
-                raise ValueError("timestamps must be strictly increasing")
+            _check_blocks(ts.size, lambda lo, hi: np.all(np.diff(ts[lo:hi + 1]) > 0),
+                          "timestamps must be strictly increasing")
         if (self.tree_id is None) != (self.parent_idx is None):
             raise ValueError("tree_id and parent_idx must be given together")
         if self.tree_id is not None:
@@ -66,15 +69,14 @@ class EventSequence:
             object.__setattr__(self, "parent_idx", parent)
             if tree.shape != ts.shape or parent.shape != ts.shape:
                 raise ValueError("label arrays must match timestamps in length")
-            if np.any(tree < 0):
-                raise ValueError("tree_id must be nonnegative")
-            child = np.flatnonzero(parent != -1)
-            if child.size:
-                p = parent[child]
-                if np.any((p < 0) | (p >= child)):
-                    raise ValueError("parent_idx must be -1 or an earlier index")
-                if np.any(tree[p] != tree[child]):
-                    raise ValueError("parent and child must share tree_id")
+            _check_blocks(ts.size, lambda lo, hi: np.all(tree[lo:hi] >= 0),
+                          "tree_id must be nonnegative")
+            _check_blocks(ts.size, lambda lo, hi: np.all(
+                (parent[lo:hi] >= -1) & (parent[lo:hi] < np.arange(lo, hi))),
+                          "parent_idx must be -1 or an earlier index")
+            _check_blocks(ts.size, lambda lo, hi: np.all(  # a root reads tree[-1], unused
+                (tree[parent[lo:hi]] == tree[lo:hi]) | (parent[lo:hi] == -1)),
+                          "parent and child must share tree_id")
 
     def __len__(self) -> int:
         return int(self.timestamps.size)
@@ -82,6 +84,12 @@ class EventSequence:
     @property
     def labeled(self) -> bool:
         return self.tree_id is not None
+
+
+def _check_blocks(n: int, ok, message: str) -> None:
+    """ValueError(message) unless ok(lo, hi) holds on each _BLOCK_ROWS block of n rows."""
+    if not all(ok(lo, min(lo + _BLOCK_ROWS, n)) for lo in range(0, n, _BLOCK_ROWS)):
+        raise ValueError(message)
 
 
 def owned_array(a, dtype) -> np.ndarray:
@@ -119,37 +127,44 @@ def _template_rows(t, g, p) -> bytes:
 
 
 def _format_rows(t, g, p) -> bytes:
-    """The bytes of _template_rows, built in numpy: each row is laid out in
-    fixed columns of a uint8 matrix, unused bytes stay 0 and are dropped."""
+    """The bytes of _template_rows, built in numpy: each row is uint64 words (3 for the
+    timestamp, then each id's, then the line end's) of ASCII digits at fixed places; one
+    & per word clears the bytes outside the text, and the 0 bytes are dropped."""
     x, d = _decimal17(t)
-    digits = _ascii(d, 5)[:, 3:]  # the 17 significant digits
-    wt = 18 - min(int(x.min()), 0)  # the widest timestamp in the block
-    ids = [_id_ascii(v, t.size) for v in (g, p)]
-    mat = np.zeros((t.size, wt + 4 + ids[0].shape[1] + ids[1].shape[1]), np.uint8)
+    ids = [] if g is None else [g, p]
+    most = [len(str(max(int(v.max()), 0))) for v in ids]  # digits of the widest id
+    rows = np.empty((t.size, 4 + sum(n // 8 + 1 for n in most)), np.uint64)
+    # The timestamp: the 24 digits of d with a 0 put after its x + 1 integer digits (for
+    # x < 0, 10**17 > d puts none). Byte 7 + x, that 0 or a leading one, becomes the ".";
+    # the text starts at byte 6 + min(x, 0) and sheds trailing fraction zeros and a bare ".".
+    s = _POW10[np.minimum(16 - x, 18)]
+    c = _put_digits(rows[:, :3], d + 9 * (d // s) * s, 5)
+    zeros = _ZEROS4[c[0]]  # of the 24 digits: a chunk counts where all below are 0000
+    for j in range(1, 5):
+        at = np.flatnonzero(zeros == 4 * j)
+        zeros[at] += _ZEROS4[c[j][at]]
+    cut = np.minimum(zeros, 17 - x)
     # Timestamps increase, so rows with one decimal exponent are one slice.
     cuts = [0, *(np.flatnonzero(np.diff(x)) + 1).tolist(), t.size]
     for r0, r1 in zip(cuts[:-1], cuts[1:]):
-        xe, f, dg = int(x[r0]), mat[r0:r1], digits[r0:r1]
-        if xe >= 0:  # integer digits, ".", fraction digits
-            f[:, :xe + 1] = dg[:, :xe + 1]
-            f[:, xe + 1] = ord(".")
-            f[:, xe + 2:18] = dg[:, xe + 1:]
-        else:  # "0.", -xe - 1 zeros, the digits
-            f[:, :1 - xe] = ord("0")
-            f[:, 1] = ord(".")
-            f[:, 1 - xe:18 - xe] = dg
-    # Strip the fraction's trailing zeros, and the "." if nothing follows it.
-    last = 16 - np.argmax(digits[:, ::-1] != ord("0"), axis=1)
-    last[d == 0] = 0
-    end = np.where(last > x, last + 2 - np.minimum(x, 0), x + 1)
-    mat[:, :wt][np.arange(wt) >= end[:, None]] = 0
-    col = wt
-    for field in ids:
-        mat[:, col] = ord(",")
-        mat[:, col + 1:col + 1 + field.shape[1]] = field
-        col += 1 + field.shape[1]
-    mat[:, col:] = (ord("\r"), ord("\n"))
-    return mat[mat != 0].tobytes()
+        b = 7 + int(x[r0])
+        rows[r0:r1, b // 8] ^= 0x1E << 8 * (b % 8)  # "0" ^ "."
+    rows[:, 0] &= _KEEP[18 - np.minimum(x, 0)] & ~_KEEP[cut]
+    rows[:, 1] &= ~_KEEP[cut + 8]
+    rows[:, 2] &= ~_KEEP[cut + 16]
+    col = 3
+    for v, n in zip(ids, most):  # a "," and the digits right-aligned; a negative id is ""
+        k = n // 8 + 1
+        f, col = rows[:, col:col + k], col + k
+        c = _put_digits(f, np.maximum(v, 0), -(-n // 4))
+        ndigits = _NDIGITS4[c[0]] - (v < 0)
+        for j in range(1, len(c)):
+            ndigits = np.where(c[j] > 0, _NDIGITS4[c[j]] + 4 * j, ndigits)
+        for j in range(k):
+            f[:, k - 1 - j] &= _KEEP[ndigits + (16 - 8 * j)]
+        f[:, 0] |= ord(",")
+    rows[:, -1] = int.from_bytes(b"\r\n" if ids else b",,\r\n", "little")
+    return rows.tobytes().translate(None, b"\0")
 
 
 def _decimal17(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -200,25 +215,20 @@ def _two_product(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ph, ((a_hi * b_hi - ph) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
 
 
-def _ascii(v: np.ndarray, chunks: int) -> np.ndarray:
-    """The decimal digits of nonnegative integers as uint8 rows of 4 * chunks
-    ASCII bytes, zero-padded on the left."""
-    out = np.empty((v.size, chunks), np.uint32)
-    for j in range(chunks):
-        out[:, chunks - 1 - j] = _DIGITS4[v // 10**(4 * j) % 10_000]
-    return out.view(np.uint8)
-
-
-def _id_ascii(v: np.ndarray | None, n: int) -> np.ndarray:
-    """Ids as right-aligned ASCII with 0 bytes for leading zeros; a negative
-    id (no recorded parent) is an empty field, and so is every row of None."""
-    if v is None:
-        return np.zeros((n, 0), np.uint8)
-    width = 4 * -(-len(str(max(int(v.max()), 0))) // 4)
-    out = _ascii(np.maximum(v, 0), width // 4)
-    ndigits = np.searchsorted(_POW10, v, side="right") + (v == 0)
-    out[np.arange(width) < width - ndigits[:, None]] = 0
-    return out
+def _put_digits(words: np.ndarray, v: np.ndarray, m: int) -> list[np.ndarray]:
+    """Write nonnegative v < 10**(4 * m) as ASCII, zero-padded, into the rows of words;
+    return its m 4-digit chunks, lowest first, split off by // (numpy's % is slower)."""
+    out = words.view(np.uint32)
+    out[:, :out.shape[1] - m] = _DIGITS4[0]
+    chunks = []
+    for _ in range(m - 1):
+        q = v // 10_000
+        chunks.append(v - q * 10_000)
+        v = q
+    chunks.append(v)
+    for j, c in enumerate(chunks):
+        out[:, -1 - j] = _DIGITS4[c]
+    return chunks
 
 
 def read_events_csv(path, horizon: float | None = None) -> EventSequence:

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import io
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -41,6 +42,50 @@ def test_parent_link_validation():
         EventSequence(ts, 2.0, tree_id=np.array([0, 0]), parent_idx=np.array([-7, 0]))
     ok = EventSequence(ts, 2.0, tree_id=np.array([0, 0]), parent_idx=np.array([-1, 0]))
     assert ok.labeled and len(ok) == 2
+
+
+def test_label_checks_refuse_across_blocks_in_check_order():
+    # Each check runs over every block before the next starts: a cross-tree
+    # parent in the first block and a later parent in the last still give the
+    # parent_idx message, as one whole-sequence pass of each check would.
+    n = 2 * events_module._BLOCK_ROWS + 5
+
+    def sequence(last_parent, tie=0):
+        tree, parent = np.zeros(n, np.int64), np.arange(-1, n - 1)
+        tree[1] = 1
+        parent[-1] = last_parent
+        ts = np.arange(1.0, n + 1)
+        ts[tie] = ts[tie - 1] if tie else ts[0]
+        return EventSequence(ts, float(n), tree, parent)
+
+    with pytest.raises(ValueError, match="parent_idx must be -1 or an earlier index"):
+        sequence(n)
+    with pytest.raises(ValueError, match="parent and child must share tree_id"):
+        sequence(n - 2)
+    with pytest.raises(ValueError, match="timestamps must be strictly increasing"):
+        sequence(n, tie=events_module._BLOCK_ROWS)  # a tie across a block boundary
+
+
+def test_label_validation_memory_stays_block_sized():
+    # Checks run on blocks of _BLOCK_ROWS rows, so the traced peak is one block's
+    # temporaries, 0.66 MB measured (numpy 2.4.6), at any length: checks on the
+    # whole sequence peaked at 34.6 MB here, where every event has a parent.
+    n = 1 << 20
+
+    def sequence():
+        return EventSequence(np.arange(1.0, n + 1), float(n), np.zeros(n, np.int64),
+                             np.arange(-1, n - 1))
+
+    sequence()  # numpy's lazy imports stay out of the trace
+    ts, tree, parent = np.arange(1.0, n + 1), np.zeros(n, np.int64), np.arange(-1, n - 1)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        EventSequence(ts, float(n), tree, parent)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_labels_must_come_together():
@@ -329,8 +374,25 @@ def test_csv_bytes_match_reference_where_significand_is_ten_to_sixteen(tmp_path)
     _write_matches_reference(tmp_path, EventSequence(np.concatenate([[0.0], ts]), 1e15))
 
 
+def _significands_ending_in_zeros() -> list[float]:
+    """For each decimal exponent x in -4..15 and k in 0..16, the first double
+    whose 17 significant digits are head + k zeros (head = 10**(16 - k), + 1, ...,
+    not ending in 0): the writer's trailing-zero count at every chunk boundary."""
+    ts = []
+    for x in range(-4, 16):
+        for k in range(17):
+            for head in range(10 ** (16 - k), 10 ** (17 - k)):
+                t = float(f"{head}e{x - 16 + k}")
+                digits, exponent = ("%.16e" % t).replace(".", "").split("e")
+                if head % 10 and digits == f"{head}{'0' * k}" and int(exponent) == x:
+                    break
+            ts.append(t)
+    return sorted(ts)
+
+
 @pytest.mark.parametrize("ts", [[9.9999999999999991e-05, 1e-4, 1.0], [3e-5, 0.5],
-                                [1.0, 9999999999999998.0, 1e16], [0.5, 3e16]])
+                                [1.0, 9999999999999998.0, 1e16], [0.5, 3e16],
+                                _significands_ending_in_zeros()])
 def test_csv_bytes_match_reference_at_the_formatter_range_edges(tmp_path, ts):
     _write_matches_reference(tmp_path, EventSequence(np.array(ts), ts[-1]))
 
