@@ -10,6 +10,7 @@ event in any whole bin, or horizon below the relation-unaware threshold), 5 all
 sweep cells failed. Any out-of-range or non-finite parameter, from a flag, a
 --config file or a library type, is a ConfigError and exits 2; epsilon = inf
 (the labelled non-private limit) and an infinite --threshold are accepted.
+A missing or conflicting flag exits 2 through argparse's usage error.
 """
 from __future__ import annotations
 
@@ -144,8 +145,6 @@ def cmd_estimate(args, config: ExperimentConfig, given: set) -> int:
     else from fresh entropy, never from the default seed."""
     budget = None
     if args.command == "privatize":
-        if args.epsilon is None:
-            raise ConfigError("--epsilon is required for privatize")
         b_mode = check_b_mode(args.b)
         budget = PrivacyBudget.for_total(args.epsilon, config.gamma)
     events = _load_events(args, config, given)
@@ -224,20 +223,15 @@ def cmd_complexity(args, config: ExperimentConfig, given: set) -> int:
     b_mode = check_b_mode(args.b)
     budget = (None if args.epsilon is None
               else PrivacyBudget.for_total(args.epsilon, config.gamma))
-    if args.private and budget is None:
-        raise ConfigError("--epsilon is required for the private bound")
-    if not args.private and (budget is not None or b_mode != "auto" or args.c is not None):
-        raise ConfigError("--epsilon, --b and --c apply to the private bound only; add --private")
+    if budget is None and (b_mode != "auto" or args.c is not None or args.gamma is not None):
+        raise ConfigError("--b, --c and --gamma apply to the private bound only; add --epsilon")
     eta4 = args.eta4
     # flags as parsed: a --config file is shared between commands, so its keys stay accepted
-    mc_flags = [f"--{k}" for k in ("eta4_bins", "mu", "alpha", "seed")
-                if getattr(args, k) is not None]
+    mc_flags = [f"--{k}" for k in ("mu", "alpha", "seed") if getattr(args, k) is not None]
     if eta4 is not None and mc_flags:
         raise ConfigError(f"the eta4 Monte-Carlo estimate reads {', '.join(mc_flags)}, "
                           "but --eta4 replaces it; give one or the other")
     if eta4 is None:
-        if args.eta4_bins is None:
-            raise ConfigError("either --eta4 or --eta4_bins is required")
         est = eta4_monte_carlo(config.params, args.delta_bin, args.eta4_bins, config.seed)
         eta4 = est.value
         print(f"eta4 Monte-Carlo estimate: {est.value:.6g} (se {est.std_error:.3g})")
@@ -245,7 +239,7 @@ def cmd_complexity(args, config: ExperimentConfig, given: set) -> int:
                               delta_prob=args.delta_prob, delta_bin=args.delta_bin,
                               eta4=eta4, sigma_sq=args.sigma_sq, c=args.c)
     report = (required_T_private(inputs, budget, b_mode, constants=args.constants)
-              if args.private else required_T_nonprivate(inputs, constants=args.constants))
+              if budget is not None else required_T_nonprivate(inputs, constants=args.constants))
     print(f"required T = {report.required_T:.6g} (binding term: {report.binding_term})")
     for label, value in report.all_terms:
         print(f"  {label:<20} {value:.6g}")
@@ -300,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
         _add_config_flags(p, "mu", "alpha", *box, "delta_mode", "horizon", *release_keys)
         p.add_argument("input", help="events CSV (header timestamp,tree_id,parent_idx)")
         if name == "privatize":
-            p.add_argument("--epsilon", type=float, default=None,
+            p.add_argument("--epsilon", type=float, required=True,
                            help="total privacy budget (halved per statistic)")
             p.add_argument("--b", default="10",
                            help="maximum tree size, or 'auto' for relation-unaware")
@@ -327,12 +321,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta_prob", type=float, required=True)
     p.add_argument("--delta_bin", type=float, required=True)
     p.add_argument("--sigma_sq", type=float, required=True)
-    p.add_argument("--eta4", type=float, default=None)
-    p.add_argument("--eta4_bins", type=int, default=None,
-                   help="Monte-Carlo bins for eta4 when --eta4 is absent")
+    eta4 = p.add_mutually_exclusive_group(required=True)
+    eta4.add_argument("--eta4", type=float)
+    eta4.add_argument("--eta4_bins", type=int, help="Monte-Carlo bins for an eta4 estimate")
     p.add_argument("--c", type=float, default=None, help="Delta = c*log(T) constant")
-    p.add_argument("--private", action="store_true")
-    p.add_argument("--epsilon", type=float, default=None, help="total privacy budget")
+    p.add_argument("--epsilon", type=float, default=None,
+                   help="total privacy budget; asks for the private bound")
     p.add_argument("--b", default="auto",
                    help="known maximum tree size, or 'auto' (default) for relation-unaware")
     p.add_argument("--constants", choices=("theorem", "appendix"), default="theorem")

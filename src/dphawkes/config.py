@@ -2,15 +2,12 @@
 from __future__ import annotations
 
 import math
-import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 from .errors import ConfigError
 from .hawkes import HawkesParams, ParamBounds
 from .privacy import PrivacyBudget, check_b_mode
-
-OUT_DIR_ENV = "DPHAWKES_OUT"
 
 # Delta = round-to-multiple-of-5(c * log T); c chosen so Delta = 10 at T = 1e5.
 LOG_RULE_C = 10.0 / math.log(1e5)
@@ -56,7 +53,7 @@ class ExperimentConfig:
     horizon: float = 100000.0
     repetitions: int = 50
     seed: int = 12345
-    out_dir: str = field(default_factory=lambda: os.environ.get(OUT_DIR_ENV, "."))
+    out_dir: str = "."
 
     def __post_init__(self):
         # mu, alpha, the prior box, epsilon and gamma are checked by their types

@@ -101,6 +101,7 @@ def run_sweep(config: ExperimentConfig, workers: int = 1) -> list[SweepRecord]:
         raise ConfigError(f"workers must be at least 1, got {workers}")
     job = functools.partial(_sweep_rep, config)
     reps = range(config.repetitions)
+    workers = min(workers, config.repetitions)  # a pool forks every worker at its first task
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             per_rep = list(pool.map(job, reps))

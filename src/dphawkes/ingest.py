@@ -25,15 +25,15 @@ def ingest_timestamps(path, time_unit_scale: float = 1.0) -> EventSequence:
         raise ConfigError(f"time_unit_scale must be positive and finite, got {time_unit_scale}")
     with open(path, "rb") as fh:
         data = fh.read()
-    first, _, rest = data.partition(b"\n")
-    first_line = 1
+    eol = data.index(b"\n") if b"\n" in data else len(data)  # line 1's end
+    lo, first_line = 0, 1
     try:
-        parse_field(first.removesuffix(b"\r").decode(errors="replace").split(",", 1)[0])
+        parse_field(data[:eol].removesuffix(b"\r").decode(errors="replace").split(",", 1)[0])
     except ValueError:  # a header row, or a line 1 to skip anyway
-        data, first_line = rest, 2
-    raw = _first_fields(data)
+        lo, first_line = eol + 1, 2
+    raw = _first_fields(memoryview(data)[lo:])  # no copy: the padded buffer is the only one
     if raw is None:
-        raw = _walk_first_fields(path, data, first_line)
+        raw = _walk_first_fields(path, data[lo:], first_line)
     if not raw.size:
         raise ValueError(f"{path}: no timestamps found")
 
@@ -54,7 +54,7 @@ def ingest_timestamps(path, time_unit_scale: float = 1.0) -> EventSequence:
         raise ValueError(f"{path}: {exc}") from exc
 
 
-def _first_fields(data: bytes) -> np.ndarray | None:
+def _first_fields(data: bytes | memoryview) -> np.ndarray | None:
     """The first field of each non-blank line, read by events.decimal_fields; None
     outside this grammar: the field ends at a "," or the line's end, \\n or \\r\\n,
     and holds no byte below "0" but one "." at most; no "\\r" stands alone."""

@@ -124,11 +124,15 @@ def test_zero_horizon_under_the_log_rule_is_an_input_error(tmp_path, capsys):
         assert "input error: horizon 0 has no 'log' bin width" in capsys.readouterr().err
 
 
-def test_privatize_requires_epsilon(tmp_path):
+def test_privatize_requires_epsilon(tmp_path, capsys):
     path = tmp_path / "ev.csv"
     run("simulate", "--mu", "1", "--alpha", "0.5", "--horizon", "5000",
         "--seed", "4", "--out_dir", str(tmp_path), "--out", str(path))
-    assert run("privatize", str(path), "--out_dir", str(tmp_path)) == EXIT_CONFIG
+    with pytest.raises(SystemExit) as refused:  # argparse's usage error
+        run("privatize", str(path), "--out_dir", str(tmp_path))
+    assert refused.value.code == EXIT_CONFIG
+    assert capsys.readouterr().err.splitlines()[-1] == \
+        "dphawkes privatize: error: the following arguments are required: --epsilon"
     assert run("privatize", str(path), "--epsilon", "5", "--seed", "12345",
                "--out_dir", str(tmp_path)) == EXIT_OK
 
@@ -367,7 +371,7 @@ def test_complexity_cli(tmp_path, capsys):
 def test_complexity_private_takes_the_release_b_label(tmp_path, capsys, b, laplace_tail,
                                                      min_horizon):
     # --epsilon is the total budget: 2 gives the goldens' per-statistic epsilon 1
-    code = run("complexity", "--private", "--epsilon", "2", "--c", "100",
+    code = run("complexity", "--epsilon", "2", "--c", "100",
                *(("--b", b) if b else ()),
                "--xi", "40", "--delta_prob", "0.05", "--delta_bin", "30000",
                "--sigma_sq", "239986", "--eta4", "1.8e11", "--out_dir", str(tmp_path))
@@ -392,10 +396,11 @@ def test_complexity_estimates_eta4_by_monte_carlo(tmp_path, capsys):
 
 
 def test_complexity_private_bound_requires_epsilon(capsys):
-    assert run("complexity", "--private", "--xi", "40", "--delta_prob", "0.05",
+    # the private bound's inputs without --epsilon, the one flag that asks for it
+    assert run("complexity", "--b", "10", "--c", "100", "--xi", "40", "--delta_prob", "0.05",
                "--delta_bin", "30000", "--sigma_sq", "239986", "--eta4", "1.8e11") == EXIT_CONFIG
-    assert capsys.readouterr().err == \
-        "configuration error: --epsilon is required for the private bound\n"
+    assert capsys.readouterr().err == ("configuration error: --b, --c and --gamma apply to "
+                                       "the private bound only; add --epsilon\n")
 
 
 def test_complexity_inadmissible_is_config_error(tmp_path):
@@ -572,7 +577,7 @@ def test_invalid_b_is_config_error_and_writes_nothing(tmp_path):
         assert run("privatize", str(events), "--epsilon", "0.001", "--b", b,
                    "--out_dir", str(tmp_path), "--out", str(out)) == EXIT_CONFIG
         assert not out.exists()
-    assert run("complexity", "--private", "--epsilon", "1", "--b", "0", "--c", "1",
+    assert run("complexity", "--epsilon", "1", "--b", "0", "--c", "1",
                "--xi", "40", "--delta_prob", "0.05", "--delta_bin", "30000",
                "--sigma_sq", "239986", "--eta4", "1.8e11",
                "--out_dir", str(tmp_path)) == EXIT_CONFIG
@@ -599,7 +604,7 @@ def test_private_release_refuses_non_finite_noise(tmp_path, capsys, flag, value)
 
 
 def test_b_past_float_range_is_config_error_for_the_bound(tmp_path):
-    assert run("complexity", "--private", "--epsilon", "1", "--b", "1" + "0" * 399,
+    assert run("complexity", "--epsilon", "1", "--b", "1" + "0" * 399,
                "--c", "1", "--xi", "40", "--delta_prob", "0.05", "--delta_bin", "30000",
                "--sigma_sq", "239986", "--eta4", "1.8e11",
                "--out_dir", str(tmp_path)) == EXIT_CONFIG

@@ -29,7 +29,7 @@ BASE = {
     "time-to-threshold": ("time-to-threshold", "--repetitions", "1", "--epsilons", "10",
                           "--b_values", "10", "--seed", "1", "--threshold", "100",
                           "--t_min", "1000", "--t_max", "1000"),
-    "complexity": ("complexity", "--private", "--epsilon", "1", "--b", "10", "--c", "1",
+    "complexity": ("complexity", "--epsilon", "1", "--b", "10", "--c", "1",
                    "--xi", "40", "--delta_prob", "0.05", "--delta_bin", "30000",
                    "--sigma_sq", "239986", "--eta4", "1.8e11"),
     "tree-stats": ("tree-stats", "{events}"),
@@ -69,7 +69,7 @@ UNVALUED_FLAGS = {
     "privatize": ("out",),
     "sweep": (),
     "time-to-threshold": (),
-    "complexity": ("private", "constants", "out"),
+    "complexity": ("constants", "out"),
     "tree-stats": ("out",),
     "ingest": ("out",),
 }
@@ -199,14 +199,17 @@ COMPLEXITY_NONPRIVATE = ("complexity", "--xi", "40", "--delta_prob", "0.05",
                          "--delta_bin", "30000", "--sigma_sq", "239986", "--eta4", "1.8e11")
 
 
-# valid values too: the non-private bound would ignore them (it printed 1.63e16
-# for --epsilon 1 --b 10, where the private bound is 8.17e22)
+# --epsilon asks for the private bound and its budget is checked. The other
+# private-only flags are refused without it, valid values too: the non-private
+# bound would ignore them (it printed 1.63e16 for --gamma 0.3, as for the default
+# 0.05, and for --epsilon 1 --b 10, where the private bound is 8.17e22)
 @pytest.mark.parametrize("flags", [("--epsilon", "nan"), ("--epsilon", "0"), ("--b", "abc"),
                                    ("--b", "0"), ("--epsilon", "nan", "--b", "abc"),
                                    ("--epsilon", "1", "--b", "10"), ("--epsilon", "1"),
                                    ("--b", "10"), ("--c", "1"), ("--c", "nan"),
-                                   ("--epsilon", "1", "--b", "10", "--c", "1")])
-def test_complexity_checks_budget_flags_without_private(flags, capsys):
+                                   ("--b", "10", "--c", "1", "--gamma", "0.05"),
+                                   ("--gamma", "0.3")])
+def test_complexity_checks_budget_flags_without_epsilon(flags, capsys):
     code, err, how = _outcome([*COMPLEXITY_NONPRIVATE, *flags], capsys)
     assert (code, how, len(err)) == (EXIT_CONFIG, "returned", 1), err
 
@@ -214,7 +217,16 @@ def test_complexity_checks_budget_flags_without_private(flags, capsys):
 def test_complexity_refuses_eta4_bins_beside_eta4(capsys):
     # the Monte-Carlo bins were ignored when eta4 itself was given
     code, err, how = _outcome([*COMPLEXITY_NONPRIVATE, "--eta4_bins", "1000"], capsys)
-    assert (code, how, len(err)) == (EXIT_CONFIG, "returned", 1), err
+    assert (code, how) == (EXIT_CONFIG, "SystemExit"), err
+    assert err[-1] == ("dphawkes complexity: error: argument --eta4_bins: "
+                       "not allowed with argument --eta4")
+
+
+def test_complexity_requires_eta4_or_eta4_bins(capsys):
+    code, err, how = _outcome(list(COMPLEXITY_NONPRIVATE[:-2]), capsys)
+    assert (code, how) == (EXIT_CONFIG, "SystemExit"), err
+    assert err[-1] == ("dphawkes complexity: error: one of the arguments "
+                       "--eta4 --eta4_bins is required")
 
 
 # --mu 2 --seed 2 printed the same required T as --mu 1 --seed 1: only the
@@ -231,6 +243,14 @@ def test_complexity_takes_estimator_keys_from_a_shared_config_file(tmp_path, cap
     # one --config file drives a whole pipeline, so its mu, alpha and seed stay accepted
     cfg = tmp_path / "shared.cfg"
     cfg.write_text("mu = 2\nalpha = 0.3\nseed = 2\n")
+    code, err, how = _outcome([*COMPLEXITY_NONPRIVATE, "--config", str(cfg)], capsys)
+    assert (code, how, err) == (EXIT_OK, "returned", [])
+
+
+def test_complexity_takes_gamma_from_a_shared_config_file(tmp_path, capsys):
+    # a privatize budget's gamma in the shared file does not make the bound private
+    cfg = tmp_path / "shared.cfg"
+    cfg.write_text("gamma = 0.3\n")
     code, err, how = _outcome([*COMPLEXITY_NONPRIVATE, "--config", str(cfg)], capsys)
     assert (code, how, err) == (EXIT_OK, "returned", [])
 

@@ -54,9 +54,8 @@ def test_every_config_field_is_a_config_key():
     assert {f.name for f in dataclasses.fields(ExperimentConfig)} == set(CONFIG_KEYS)
 
 
-def test_config_keys_are_the_fields_and_parse_their_defaults(tmp_path, monkeypatch):
+def test_config_keys_are_the_fields_and_parse_their_defaults():
     # the keys are the fields in order, and each field's parser reads its default's text back
-    monkeypatch.setenv("DPHAWKES_OUT", str(tmp_path / "results"))
     fields = dataclasses.fields(ExperimentConfig)
     assert CONFIG_KEYS == tuple(f.name for f in fields)
     default = ExperimentConfig()
@@ -106,12 +105,6 @@ def test_flag_overrides_file(tmp_path):
     cfg = ExperimentConfig(**{**parse_config_file(path), "mu": 2.0})
     assert cfg.mu == 2.0
     assert cfg.seed == 99
-
-
-def test_out_dir_env_default(tmp_path, monkeypatch):
-    monkeypatch.setenv("DPHAWKES_OUT", str(tmp_path / "results"))
-    cfg = ExperimentConfig()
-    assert cfg.out_dir == str(tmp_path / "results")
 
 
 @pytest.mark.parametrize("kwargs, owner", [

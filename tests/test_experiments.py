@@ -327,3 +327,32 @@ def test_baseline_wall_ms_excludes_simulate_time(monkeypatch):
     records = run_sweep(small_config(repetitions=1, epsilons=(1.0,), b_values=("10",)))
     baseline = [r for r in records if r.b_mode == BASELINE_B_MODE]
     assert len(baseline) == 1 and baseline[0].wall_ms < 300.0
+
+
+
+@pytest.mark.parametrize("workers, repetitions, pool_sizes", [
+    (500, 2, [2]), (8, 1, []), (3, 4, [3])])
+def test_sweep_starts_no_more_workers_than_repetitions(monkeypatch, workers, repetitions,
+                                                       pool_sizes):
+    # a pool forked every one of its workers at the first task, however few tasks there were
+    sizes = []
+
+    class InlinePool:  # records its size and runs the tasks in this process
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", InlinePool)
+    cfg = small_config(repetitions=repetitions, horizon=2000.0)
+    records = run_sweep(cfg, workers=workers)
+    assert sizes == pool_sizes
+    assert ([dataclasses.replace(r, wall_ms=0.0) for r in records]
+            == [dataclasses.replace(r, wall_ms=0.0) for r in run_sweep(cfg)])

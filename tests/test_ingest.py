@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -290,3 +291,26 @@ def test_a_refused_line_in_a_later_block_is_named_by_its_line(tmp_path):
     with pytest.raises(ValueError, match=r"raw\.csv: unparsable or non-finite timestamps "
                                          r"at lines 70002$"):
         ingest_timestamps(path)
+
+
+def _traced_peak(path) -> int:
+    """Bytes that tracemalloc (which sees numpy's buffers) traces at the peak of a read."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        ingest_timestamps(path)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_headerless_log_is_held_no_more_often_than_a_headered_one(tmp_path):
+    # line 1 as data kept the rest of the file as a second copy beside the padded one
+    body = "".join(f"{1_600_000_000 + 60 * i}.5\n" for i in range(100_000))
+    peaks = []
+    for name, header in (("headered.csv", "timestamp\n"), ("headerless.csv", "")):
+        path = tmp_path / name
+        path.write_text(header + body)
+        ingest_timestamps(path)  # lazy imports stay out of the trace
+        peaks.append(_traced_peak(path))
+    assert peaks[1] <= 1.05 * peaks[0], peaks
